@@ -5,27 +5,26 @@ from each user's global mean, optionally weight-scaled per item by content
 weights, and damped by a significance factor when the co-rated overlap is
 small. Neighbors are drawn only from users who rated the target item.
 
-The batch path gathers, once per active user, the flat (item, rater, rating)
-triples covering that user's whole row and reduces them with bincount; the
-scalar pearson/weighted_pearson functions accumulate over the same sorted
-item order, so both paths agree to the last bit.
+One kernel, ``_correlate``, does the correlation arithmetic for every caller.
+Ranking feeds it, once per active user, the flat (item, rater, rating)
+triples covering that user's whole row, grouped by rater; ``pearson`` and
+``weighted_pearson`` feed it one pair's co-rated items as a single group.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
-from .data import ItemId, RatingMatrix, UserId
+from .data import ItemId, RatingMatrix, UserId, check_choice
 from .weighting import WeightVector
 
 Denominator = Literal["abs", "signed"]
+_DENOMINATORS = get_args(Denominator)
 
 SIGNIFICANCE_OVERLAP = 50
 _DEN_EPS = 1e-9
@@ -75,24 +74,7 @@ def pearson(a: UserId, u: UserId, matrix: RatingMatrix) -> tuple[float, int]:
     over co-rated items only. Zero overlap or zero variance on the co-rated
     set gives raw 0.
     """
-    ra = matrix.ratings_of(a)
-    ru = matrix.ratings_of(u)
-    common = sorted(ra.keys() & ru.keys())
-    if not common:
-        return 0.0, 0
-    mean_a = matrix.mean_of(a)
-    mean_u = matrix.mean_of(u)
-    num = den_a = den_u = 0.0
-    for i in common:
-        x = ra[i] - mean_a
-        y = ru[i] - mean_u
-        num += x * y
-        den_a += x * x
-        den_u += y * y
-    if den_a == 0.0 or den_u == 0.0:
-        return 0.0, len(common)
-    raw = num / math.sqrt(den_a * den_u)
-    return min(1.0, max(-1.0, raw)), len(common)
+    return _pair_correlation(a, u, matrix, None)
 
 
 def weighted_pearson(
@@ -106,40 +88,80 @@ def weighted_pearson(
 
     Each co-rated item's deviations are multiplied by its content weight
     before the usual correlation arithmetic, so relevance to the target item
-    amplifies agreement (and disagreement) on that item.
+    amplifies agreement (and disagreement) on that item. Only co-rated items
+    need a weight.
     """
+    _check_target(weights, target)
+    return _pair_correlation(a, u, matrix, weights)
+
+
+def _check_target(weights: WeightVector, target: ItemId) -> None:
     if weights.target_id != target:
         raise ValueError(
             f"weight vector was built for target {weights.target_id!r}, not {target!r}"
         )
-    ra = matrix.ratings_of(a)
-    ru = matrix.ratings_of(u)
-    common = sorted(ra.keys() & ru.keys())
-    if not common:
-        return 0.0, 0
-    mean_a = matrix.mean_of(a)
-    mean_u = matrix.mean_of(u)
-    num = den_a = den_u = 0.0
-    for i in common:
-        w = weights[i]
-        x = w * (ra[i] - mean_a)
-        y = w * (ru[i] - mean_u)
-        num += x * y
-        den_a += x * x
-        den_u += y * y
-    if den_a == 0.0 or den_u == 0.0:
-        return 0.0, len(common)
-    raw = num / math.sqrt(den_a * den_u)
-    return min(1.0, max(-1.0, raw)), len(common)
 
 
-# -- vectorized sweep over one active user's row ------------------------------
+def _pair_correlation(
+    a: UserId, u: UserId, matrix: RatingMatrix, weights: WeightVector | None
+) -> tuple[float, int]:
+    """(raw, overlap) of one pair: its co-rated items, ascending, form one group."""
+    aix = matrix._user_index(a)
+    uix = matrix._user_index(u)
+    items_a, vals_a = matrix._user_row(aix)
+    items_u, vals_u = matrix._user_row(uix)
+    common, ia, iu = np.intersect1d(
+        items_a, items_u, assume_unique=True, return_indices=True
+    )
+    x = vals_a[ia] - matrix._umeans[aix]
+    y = vals_u[iu] - matrix._umeans[uix]
+    w = None
+    if weights is not None:
+        items = matrix.items
+        w = np.fromiter(
+            (weights[items[j]] for j in common), dtype=np.float64, count=common.size
+        )
+    raw, _, _, overlap = _correlate(np.zeros(common.size, dtype=np.intp), 1, x, y, w)
+    return float(raw[0]), int(overlap[0])
+
+
+def _correlate(
+    group: np.ndarray,
+    n_groups: int,
+    x: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(raw, cf, value, overlap) per group of paired deviations x, y.
+
+    Entry i belongs to group ``group[i]``; ``w`` optionally scales both of
+    its deviations. bincount adds strictly in entry order, so a group's sums
+    are the naive left-to-right sums over its entries.
+    """
+    if w is not None:
+        x = w * x
+        y = w * y
+    num = np.bincount(group, weights=x * y, minlength=n_groups)
+    den_a = np.bincount(group, weights=x * x, minlength=n_groups)
+    den_u = np.bincount(group, weights=y * y, minlength=n_groups)
+    overlap = np.bincount(group, minlength=n_groups)
+    denom = den_a * den_u
+    raw = np.zeros(n_groups)
+    mask = denom > 0
+    raw[mask] = num[mask] / np.sqrt(denom[mask])
+    np.clip(raw, -1.0, 1.0, out=raw)
+    cf = np.minimum(overlap, SIGNIFICANCE_OVERLAP) / SIGNIFICANCE_OVERLAP
+    value = raw * cf
+    return raw, cf, value, overlap
+
+
+# -- one active user's row against every rater --------------------------------
 
 
 class _Gather:
     """Flat arrays covering every (item of a, rater, rating) triple."""
 
-    __slots__ = ("item_ids", "itempos", "users", "dev_rep", "dev_u", "pc")
+    __slots__ = ("uix", "item_ids", "itempos", "users", "dev_rep", "dev_u", "pc")
 
     def __init__(self, matrix: RatingMatrix, uix: int):
         items_a, vals_a = matrix._user_row(uix)
@@ -153,6 +175,7 @@ class _Gather:
             - np.repeat(first, counts)
             + np.repeat(starts, counts)
         )
+        self.uix = uix
         self.item_ids = tuple(matrix.items[j] for j in items_a)
         self.itempos = np.repeat(np.arange(items_a.size), counts)
         self.users = matrix._iusers[pos]
@@ -161,53 +184,22 @@ class _Gather:
         self.pc: tuple[np.ndarray, ...] | None = None
 
 
-_GATHER_LRU = 4
+# Evaluation visits each user's held-out ratings contiguously, so the last
+# gather per matrix is the only one that is ever asked for again.
 _gather_lock = threading.Lock()
-_gather_cache: "weakref.WeakKeyDictionary[RatingMatrix, OrderedDict[int, _Gather]]" = (
+_last_gather: "weakref.WeakKeyDictionary[RatingMatrix, _Gather]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def _gather_for(matrix: RatingMatrix, uix: int) -> _Gather:
     with _gather_lock:
-        per = _gather_cache.get(matrix)
-        if per is not None and uix in per:
-            per.move_to_end(uix)
-            return per[uix]
-    g = _Gather(matrix, uix)
-    with _gather_lock:
-        per = _gather_cache.setdefault(matrix, OrderedDict())
-        per[uix] = g
-        per.move_to_end(uix)
-        while len(per) > _GATHER_LRU:
-            per.popitem(last=False)
+        g = _last_gather.get(matrix)
+    if g is None or g.uix != uix:
+        g = _Gather(matrix, uix)
+        with _gather_lock:
+            _last_gather[matrix] = g
     return g
-
-
-def _sweep(
-    matrix: RatingMatrix, g: _Gather, w: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(raw, cf, value, overlap) arrays over every user index in the matrix."""
-    n_users = len(matrix.users)
-    if w is None:
-        x = g.dev_rep
-        y = g.dev_u
-    else:
-        wr = w[g.itempos]
-        x = wr * g.dev_rep
-        y = wr * g.dev_u
-    num = np.bincount(g.users, weights=x * y, minlength=n_users)
-    den_a = np.bincount(g.users, weights=x * x, minlength=n_users)
-    den_u = np.bincount(g.users, weights=y * y, minlength=n_users)
-    overlap = np.bincount(g.users, minlength=n_users)
-    denom = den_a * den_u
-    raw = np.zeros(n_users)
-    mask = denom > 0
-    raw[mask] = num[mask] / np.sqrt(denom[mask])
-    np.clip(raw, -1.0, 1.0, out=raw)
-    cf = np.minimum(overlap, SIGNIFICANCE_OVERLAP) / SIGNIFICANCE_OVERLAP
-    value = raw * cf
-    return raw, cf, value, overlap
 
 
 def rank_candidates(
@@ -229,19 +221,19 @@ def rank_candidates(
         return []
 
     g = _gather_for(matrix, aix)
+    n_users = len(matrix.users)
     if weights is None:
         if g.pc is None:
-            g.pc = _sweep(matrix, g)
+            g.pc = _correlate(g.users, n_users, g.dev_rep, g.dev_u)
         raw, cf, value, overlap = g.pc
     else:
-        if weights.target_id != target:
-            raise ValueError(
-                f"weight vector was built for target {weights.target_id!r}, not {target!r}"
-            )
+        _check_target(weights, target)
         w = np.fromiter(
             (weights[iid] for iid in g.item_ids), dtype=np.float64, count=len(g.item_ids)
         )
-        raw, cf, value, overlap = _sweep(matrix, g, w)
+        raw, cf, value, overlap = _correlate(
+            g.users, n_users, g.dev_rep, g.dev_u, w[g.itempos]
+        )
 
     keep = overlap[cand] > 0
     if min_sim is not None:
@@ -291,6 +283,7 @@ def predict(
     Falls back to the active user's mean when there are no usable neighbors
     or the similarity mass is (numerically) zero.
     """
+    check_choice("denominator", denominator, _DENOMINATORS)
     if neighbors.target_item != target or neighbors.active_user != a:
         raise ValueError("neighbor set does not match the requested user/item pair")
     if not matrix.has_user(a):

@@ -12,12 +12,13 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import get_args
 
 from . import ingest
-from .cf import predict, select_neighbors
+from .cf import Denominator, predict, select_neighbors
 from .data import build_matrix
-from .evaluation import RunConfig, emit_report, run_experiment
-from .weighting import WeightCalculator
+from .evaluation import Method, RunConfig, SplitMode, emit_report, run_experiment
+from .weighting import K0Branch, WeightCalculator
 
 logger = logging.getLogger(__name__)
 
@@ -97,17 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", help="directory containing ratings.dat")
     p.add_argument("--ratings", help="explicit ratings file path (overrides --data-dir)")
     p.add_argument("--profiles", help="profile file (required for --method wpc)")
-    p.add_argument("--method", choices=["pc", "wpc"], help="similarity method (default pc)")
+    p.add_argument("--method", choices=get_args(Method), help="similarity method (default pc)")
     p.add_argument("--k", type=_parse_k_list, dest="k", help="neighbor counts, e.g. 5,10,20,30,50")
     p.add_argument("--seed", type=int, help="fold-split seed (default 42)")
-    p.add_argument("--k0-branch", choices=["mv", "literal"], dest="k0_branch",
+    p.add_argument("--k0-branch", choices=get_args(K0Branch), dest="k0_branch",
                    help="zero-overlap weight branch (default mv)")
-    p.add_argument("--denominator", choices=["abs", "signed"],
+    p.add_argument("--denominator", choices=get_args(Denominator),
                    help="prediction denominator (default abs)")
     p.add_argument("--min-sim", type=float, dest="min_sim", help="exclude neighbors below this similarity")
     p.add_argument("--sample-test", type=int, dest="sample_test",
                    help="evaluate a seeded subsample of each test fold")
-    p.add_argument("--split", choices=["per-item", "global"], help="fold split policy (default per-item)")
+    p.add_argument("--split", choices=get_args(SplitMode), help="fold split policy (default per-item)")
     p.add_argument("--workers", type=int, help="parallel workers (default: all cores)")
     p.add_argument("--out", help="report CSV path (default report.csv)")
 
@@ -116,12 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", help="directory containing ratings.dat")
     p.add_argument("--ratings", help="explicit ratings file path (overrides --data-dir)")
     p.add_argument("--profiles", help="profile file (required for --method wpc)")
-    p.add_argument("--method", choices=["pc", "wpc"], help="similarity method (default pc)")
+    p.add_argument("--method", choices=get_args(Method), help="similarity method (default pc)")
     p.add_argument("--user", required=True, type=int, help="active user id")
     p.add_argument("--item", required=True, type=int, help="target movie id")
     p.add_argument("--k", type=int, help="neighborhood size (default 50)")
-    p.add_argument("--k0-branch", choices=["mv", "literal"], dest="k0_branch")
-    p.add_argument("--denominator", choices=["abs", "signed"])
+    p.add_argument("--k0-branch", choices=get_args(K0Branch), dest="k0_branch")
+    p.add_argument("--denominator", choices=get_args(Denominator))
     p.add_argument("--min-sim", type=float, dest="min_sim")
 
     return parser

@@ -9,6 +9,7 @@ share across worker processes or threads.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -19,6 +20,12 @@ ItemId = int | str
 
 RATING_MIN = 1
 RATING_MAX = 5
+
+
+def check_choice(name: str, value: object, allowed: tuple) -> None:
+    """Reject a setting outside its allowed values, so it never falls into a default branch."""
+    if value not in allowed:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,8 +181,6 @@ class RatingMatrix:
         self._umeans = sums / counts
 
         self._n_ratings = n
-        self._user_means_map: dict[UserId, float] | None = None
-        self._item_raters_map: dict[ItemId, frozenset[UserId]] | None = None
 
     # -- sizes and identifiers ------------------------------------------------
 
@@ -199,23 +204,13 @@ class RatingMatrix:
 
     # -- per-user / per-item views ---------------------------------------------
 
-    @property
+    @functools.cached_property
     def user_means(self) -> Mapping[UserId, float]:
-        if self._user_means_map is None:
-            self._user_means_map = {
-                u: float(self._umeans[i]) for i, u in enumerate(self._users)
-            }
-        return self._user_means_map
+        return {u: self.mean_of(u) for u in self._users}
 
-    @property
+    @functools.cached_property
     def item_raters(self) -> Mapping[ItemId, frozenset[UserId]]:
-        if self._item_raters_map is None:
-            out: dict[ItemId, frozenset[UserId]] = {}
-            for j, item in enumerate(self._items):
-                lo, hi = self._iptr[j], self._iptr[j + 1]
-                out[item] = frozenset(self._users[u] for u in self._iusers[lo:hi])
-            self._item_raters_map = out
-        return self._item_raters_map
+        return {m: self.raters_of(m) for m in self._items}
 
     def mean_of(self, user_id: UserId) -> float:
         return float(self._umeans[self._user_index(user_id)])

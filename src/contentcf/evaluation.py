@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -22,13 +23,13 @@ import zlib
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
 from .cf import Denominator, NeighborSet, predict, rank_candidates
-from .data import ItemId, Rating, RatingMatrix, UserId, build_matrix
-from .weighting import DEFAULT_MAX_TARGETS, K0Branch, WeightCalculator
+from .data import ItemId, Rating, RatingMatrix, UserId, build_matrix, check_choice
+from .weighting import K0Branch, WeightCalculator
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +114,11 @@ def mae(pairs: Iterable[tuple[float, float]]) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything an evaluation run depends on besides the data itself."""
+    """Everything an evaluation run depends on besides the data itself.
+
+    Every field is checked here, whether it came from a flag, a config file
+    or a caller. ``workers=None`` uses every core.
+    """
 
     method: Method = "pc"
     k_values: tuple[int, ...] = (5, 10, 20, 30, 50)
@@ -122,22 +127,26 @@ class RunConfig:
     denominator: Denominator = "abs"
     min_sim: float | None = None
     sample_test: int | None = None
-    workers: int | None = None  # None = available parallelism
+    workers: int | None = None
     split: SplitMode = "per-item"
-    max_weight_targets: int = DEFAULT_MAX_TARGETS
-    data_dir: str | None = None
     profiles_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("pc", "wpc"):
-            raise ValueError(f"unknown method {self.method!r}")
+        check_choice("method", self.method, get_args(Method))
+        check_choice("k0_branch", self.k0_branch, get_args(K0Branch))
+        check_choice("denominator", self.denominator, get_args(Denominator))
+        check_choice("split", self.split, get_args(SplitMode))
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
         if any(k < 1 for k in self.k_values):
             raise ValueError("every k must be >= 1")
         object.__setattr__(self, "k_values", tuple(self.k_values))
+        if self.min_sim is not None and not math.isfinite(self.min_sim):
+            raise ValueError(f"min_sim must be a finite number, got {self.min_sim!r}")
         if self.sample_test is not None and self.sample_test < 1:
             raise ValueError("sample_test must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1 (or None for all cores)")
 
     @property
     def effective_workers(self) -> int:
@@ -291,11 +300,7 @@ def run_experiment(
         matrix = build_matrix(train) if train else None
         calculator = None
         if config.method == "wpc" and matrix is not None:
-            calculator = WeightCalculator(
-                profiles,
-                k0_branch=config.k0_branch,
-                max_targets=config.max_weight_targets,
-            )
+            calculator = WeightCalculator(profiles, k0_branch=config.k0_branch)
 
         n_workers = config.effective_workers
         abs_err = np.full((n_k, len(test)), np.nan)

@@ -14,11 +14,15 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Literal, Mapping, get_args
 
-from .data import FeatureVector, ItemId, MovieProfile
+from .data import FeatureVector, ItemId, MovieProfile, check_choice
 
 K0Branch = Literal["mv", "literal"]
+_K0_BRANCHES = get_args(K0Branch)
+
+# Normalized (genres, directors, actors) of one movie.
+FeatureSets = tuple[frozenset[str], frozenset[str], frozenset[str]]
 
 DEFAULT_MAX_TARGETS = 1024
 
@@ -29,6 +33,14 @@ def _norm_label(label: str) -> str:
 
 def _norm_set(labels: Iterable[str]) -> frozenset[str]:
     return frozenset(_norm_label(x) for x in labels)
+
+
+def _feature_sets(profile: MovieProfile) -> FeatureSets:
+    return (
+        _norm_set(profile.genres),
+        _norm_set(profile.directors),
+        _norm_set(profile.actors),
+    )
 
 
 def _profiles_of(store) -> Mapping[ItemId, MovieProfile]:
@@ -62,9 +74,9 @@ def build_vectors(
     actors present in both profiles, each block sorted for determinism.
     Directors and actors are distinct namespaces even when names collide.
     """
-    g_m, g_t = _norm_set(profile_m.genres), _norm_set(profile_t.genres)
-    d_m, d_t = _norm_set(profile_m.directors), _norm_set(profile_t.directors)
-    a_common = _norm_set(profile_m.actors) & _norm_set(profile_t.actors)
+    g_m, d_m, a_m = _feature_sets(profile_m)
+    g_t, d_t, a_t = _feature_sets(profile_t)
+    a_common = a_m & a_t
 
     universe = (
         [f"genre:{g}" for g in sorted(g_m | g_t)]
@@ -104,26 +116,6 @@ def cosine(v_m: FeatureVector, v_t: FeatureVector) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _pair_counts(
-    g_m: frozenset[str],
-    d_m: frozenset[str],
-    a_m: frozenset[str],
-    g_t: frozenset[str],
-    d_t: frozenset[str],
-    a_t: frozenset[str],
-) -> tuple[int, int, int]:
-    """(shared feature count, |M| norm squared, |T| norm squared) for a pair.
-
-    Equivalent to building the trimmed vectors and taking dot/norms: the
-    actor intersection contributes to both vectors and to the dot product.
-    """
-    a_common = len(a_m & a_t)
-    shared = len(g_m & g_t) + len(d_m & d_t) + a_common
-    norm_m_sq = len(g_m) + len(d_m) + a_common
-    norm_t_sq = len(g_t) + len(d_t) + a_common
-    return shared, norm_m_sq, norm_t_sq
-
-
 def item_weight(
     profile_m: MovieProfile,
     profile_t: MovieProfile,
@@ -139,14 +131,26 @@ def item_weight(
     """
     if max_feature_count < 1:
         raise ValueError("max_feature_count must be >= 1")
-    shared, nm_sq, nt_sq = _pair_counts(
-        _norm_set(profile_m.genres),
-        _norm_set(profile_m.directors),
-        _norm_set(profile_m.actors),
-        _norm_set(profile_t.genres),
-        _norm_set(profile_t.directors),
-        _norm_set(profile_t.actors),
+    check_choice("k0_branch", k0_branch, _K0_BRANCHES)
+    return _smoothed_weight(
+        _feature_sets(profile_m), _feature_sets(profile_t), max_feature_count, k0_branch
     )
+
+
+def _smoothed_weight(
+    sets_m: FeatureSets, sets_t: FeatureSets, max_feature_count: int, k0_branch: K0Branch
+) -> float:
+    """item_weight over normalized feature sets.
+
+    Equivalent to building the trimmed vectors and taking dot/norms: the
+    actor intersection contributes to both vectors and to the dot product.
+    """
+    g_m, d_m, a_m = sets_m
+    g_t, d_t, a_t = sets_t
+    a_common = len(a_m & a_t)
+    shared = len(g_m & g_t) + len(d_m & d_t) + a_common
+    nm_sq = len(g_m) + len(d_m) + a_common
+    nt_sq = len(g_t) + len(d_t) + a_common
     if shared >= 1:
         return (1 + shared) / (math.sqrt(nm_sq) * math.sqrt(nt_sq))
     if k0_branch == "literal":
@@ -164,22 +168,17 @@ class ProfileCatalog:
 
     def __init__(self, store):
         profiles = _profiles_of(store)
-        self._sets: dict[ItemId, tuple[frozenset[str], frozenset[str], frozenset[str]]] = {}
-        max_count = 1
-        for item_id, profile in profiles.items():
-            g = _norm_set(profile.genres)
-            d = _norm_set(profile.directors)
-            a = _norm_set(profile.actors)
-            self._sets[item_id] = (g, d, a)
-            max_count = max(max_count, len(g) + len(d) + len(a))
-        self.max_feature_count = max_count
+        self._sets: dict[ItemId, FeatureSets] = {
+            item_id: _feature_sets(profile) for item_id, profile in profiles.items()
+        }
+        self.max_feature_count = max(
+            [1] + [len(g) + len(d) + len(a) for g, d, a in self._sets.values()]
+        )
 
     def __contains__(self, item_id: ItemId) -> bool:
         return item_id in self._sets
 
-    def feature_sets(
-        self, item_id: ItemId
-    ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    def feature_sets(self, item_id: ItemId) -> FeatureSets:
         try:
             return self._sets[item_id]
         except KeyError:
@@ -203,6 +202,7 @@ class WeightCalculator:
     ):
         if max_targets < 1:
             raise ValueError("max_targets must be >= 1")
+        check_choice("k0_branch", k0_branch, _K0_BRANCHES)
         self._catalog = ProfileCatalog(store)
         self._k0_branch: K0Branch = k0_branch
         self._max_targets = max_targets
@@ -215,19 +215,12 @@ class WeightCalculator:
 
     def weight(self, item_id: ItemId, target_id: ItemId) -> float:
         """Weight of a single catalog item relative to the target."""
-        g_m, d_m, a_m = self._catalog.feature_sets(item_id)
-        g_t, d_t, a_t = self._catalog.feature_sets(target_id)
-        shared, nm_sq, nt_sq = _pair_counts(g_m, d_m, a_m, g_t, d_t, a_t)
-        if shared >= 1:
-            return (1 + shared) / (math.sqrt(nm_sq) * math.sqrt(nt_sq))
-        if self._k0_branch == "literal":
-            if nm_sq == 0 or nt_sq == 0:
-                raise ValueError(
-                    "literal zero-overlap weight is undefined for a movie with "
-                    "no features in the comparison universe"
-                )
-            return 1.0 / (math.sqrt(nm_sq) * math.sqrt(nt_sq))
-        return 1.0 / self._catalog.max_feature_count
+        return _smoothed_weight(
+            self._catalog.feature_sets(item_id),
+            self._catalog.feature_sets(target_id),
+            self._catalog.max_feature_count,
+            self._k0_branch,
+        )
 
     def weights_for(self, target_id: ItemId, candidates: Iterable[ItemId]) -> WeightVector:
         if target_id not in self._catalog:

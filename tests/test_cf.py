@@ -105,6 +105,12 @@ class TestWeightedPearson:
         with pytest.raises(KeyError):
             weighted_pearson(1, 3, 10, m, wv)
 
+    def test_weights_needed_only_for_co_rated_items(self):
+        # Item 1 is rated by the active user alone, so it needs no weight.
+        m = build_matrix(as_ratings([(1, 0, 5), (1, 1, 1), (2, 0, 4), (2, 2, 1)]))
+        wv = WeightVector(target_id=0, weights={0: 2.0}, max_feature_count=5)
+        assert weighted_pearson(1, 2, 0, m, wv) == (1.0, 1)
+
 
 class TestSignificanceFactor:
     @pytest.mark.parametrize(
@@ -218,6 +224,12 @@ class TestPredict:
         p = predict(1, 2, ns, m)
         assert 1.0 <= p.value <= 5.0
 
+    def test_unknown_denominator_rejected(self, toy_ratings):
+        m = build_matrix(toy_ratings)
+        ns = NeighborSet(target_item=10, active_user=1, neighbors=())
+        with pytest.raises(ValueError, match="denominator"):
+            predict(1, 10, ns, m, denominator="ABS")
+
     def test_signed_denominator(self):
         triples = [(1, 0, 5), (1, 1, 1), (2, 0, 1), (2, 1, 5), (2, 2, 4)]
         m = build_matrix(as_ratings(triples))
@@ -259,5 +271,27 @@ def test_scalar_pearson_matches_vectorized(triples):
         ranked = rank_candidates(a, item, m)
         for s in ranked:
             if s.user_id == u:
-                assert s.raw == pytest.approx(raw, abs=1e-12)
+                assert s.raw == raw
+                assert s.overlap == overlap
+
+
+@settings(max_examples=200, deadline=None)
+@given(rating_triples(max_users=6, max_items=6), st.data())
+def test_scalar_weighted_pearson_matches_vectorized(triples, data):
+    m = build_matrix(as_ratings(triples))
+    users = list(m.users)
+    if len(users) < 2:
+        return
+    a, u = users[0], users[1]
+    weight = st.floats(0.01, 2.0, allow_nan=False, allow_infinity=False)
+    for item in m.ratings_of(u):
+        wv = WeightVector(
+            target_id=item,
+            weights={i: data.draw(weight) for i in m.items},
+            max_feature_count=10,
+        )
+        raw, overlap = weighted_pearson(a, u, item, m, wv)
+        for s in rank_candidates(a, item, m, weights=wv):
+            if s.user_id == u:
+                assert s.raw == raw
                 assert s.overlap == overlap

@@ -159,6 +159,16 @@ class TestPredictCommand:
         assert rc == 0
         assert 1.0 <= float(capsys.readouterr().out.strip()) <= 5.0
 
+    def test_config_file_value_outside_choices_rejected(self, dataset):
+        # argparse choices never see config-file values; RunConfig must.
+        cfg = dataset / "bad.cfg"
+        cfg.write_text("denominator=ABS\n")
+        rc = main(
+            ["predict", "--data-dir", str(dataset), "--config", str(cfg),
+             "--user", "1", "--item", "2"]
+        )
+        assert rc == 1
+
     def test_unknown_user_exits_nonzero(self, dataset):
         with pytest.raises(SystemExit, match="user"):
             main(["predict", "--data-dir", str(dataset), "--user", "999", "--item", "1"])

@@ -212,6 +212,11 @@ class TestRunConfig:
             {"k_values": ()},
             {"k_values": (0,)},
             {"sample_test": 0},
+            {"denominator": "ABS"},
+            {"split": "bogus"},
+            {"k0_branch": "x"},
+            {"min_sim": float("nan")},
+            {"workers": -3},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -116,6 +116,12 @@ class TestItemWeight:
         with pytest.raises(ValueError, match="max_feature_count"):
             item_weight(*worked_example_profiles, max_feature_count=0)
 
+    def test_unknown_k0_branch_rejected(self, worked_example_profiles):
+        with pytest.raises(ValueError, match="k0_branch"):
+            item_weight(*worked_example_profiles, 25, k0_branch="bogus")
+        with pytest.raises(ValueError, match="k0_branch"):
+            WeightCalculator({}, k0_branch="bogus")
+
     def test_weight_increases_with_shared_count_at_fixed_norms(self):
         # Three-genre profiles throughout, overlap growing 1 -> 2 -> 3.
         base = MovieProfile(item_id=0, title="t", genres={"a", "b", "c"})
@@ -230,9 +236,7 @@ class TestWeightsForTarget:
         target = catalog[3]
         wv = calc.weights_for(target.item_id, [p.item_id for p in catalog])
         for p in catalog:
-            assert wv[p.item_id] == pytest.approx(
-                item_weight(p, target, calc.max_feature_count), abs=1e-15
-            )
+            assert wv[p.item_id] == item_weight(p, target, calc.max_feature_count)
 
     def test_unprofiled_candidate_rejected(self):
         store = _store(_catalog())
