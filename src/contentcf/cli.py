@@ -200,22 +200,21 @@ def _run_config(args, config) -> RunConfig:
         sample_test=int(sample_test) if sample_test is not None else None,
         workers=int(workers) if workers is not None else None,
         split=_setting(args, config, "split", "per-item"),
-        profiles_path=_setting(args, config, "profiles"),
     )
 
 
-def _load_profiles_if_needed(cfg: RunConfig):
-    if cfg.method != "wpc":
+def _load_profiles_if_needed(method: str, profiles_path: str | None):
+    if method != "wpc":
         return None
-    if not cfg.profiles_path:
+    if not profiles_path:
         raise SystemExit("error: --method wpc requires --profiles")
-    return ingest.load_profiles(_require_file(Path(cfg.profiles_path)))
+    return ingest.load_profiles(_require_file(Path(profiles_path)))
 
 
 def _cmd_evaluate(args, config) -> int:
     cfg = _run_config(args, config)
     ratings = ingest.parse_ratings(_require_file(_ratings_path(args, config)))
-    profiles = _load_profiles_if_needed(cfg)
+    profiles = _load_profiles_if_needed(cfg.method, _setting(args, config, "profiles"))
     logger.info(
         "evaluating method=%s k=%s seed=%d on %d ratings",
         cfg.method, list(cfg.k_values), cfg.seed, len(ratings),
@@ -239,7 +238,7 @@ def _cmd_predict(args, config) -> int:
 
     weights = None
     if cfg.method == "wpc":
-        store = _load_profiles_if_needed(cfg)
+        store = _load_profiles_if_needed(cfg.method, _setting(args, config, "profiles"))
         calc = WeightCalculator(store, k0_branch=cfg.k0_branch)
         weights = calc.weights_for(args.item, matrix.ratings_of(args.user).keys())
     neighbors = select_neighbors(

@@ -138,27 +138,28 @@ class RatingMatrix:
     def __init__(self, ratings: Sequence[Rating]):
         if not ratings:
             raise ValueError("cannot build a rating matrix from an empty rating set")
-
-        users = sorted({r.user_id for r in ratings})
-        items = sorted({r.item_id for r in ratings})
-        self._users: tuple[UserId, ...] = tuple(users)
-        self._items: tuple[ItemId, ...] = tuple(items)
-        self._uindex: dict[UserId, int] = {u: i for i, u in enumerate(users)}
-        self._iindex: dict[ItemId, int] = {m: i for i, m in enumerate(items)}
-
+        users = tuple(sorted({r.user_id for r in ratings}))
+        items = tuple(sorted({r.item_id for r in ratings}))
+        uindex = {u: i for i, u in enumerate(users)}
+        iindex = {m: i for i, m in enumerate(items)}
         n = len(ratings)
-        u_idx = np.fromiter((self._uindex[r.user_id] for r in ratings), dtype=np.int64, count=n)
-        i_idx = np.fromiter((self._iindex[r.item_id] for r in ratings), dtype=np.int64, count=n)
+        u_idx = np.fromiter((uindex[r.user_id] for r in ratings), dtype=np.int64, count=n)
+        i_idx = np.fromiter((iindex[r.item_id] for r in ratings), dtype=np.int64, count=n)
         vals = np.fromiter((r.value for r in ratings), dtype=np.float64, count=n)
-
         order = np.lexsort((i_idx, u_idx))
         u_idx, i_idx, vals = u_idx[order], i_idx[order], vals[order]
-
         dup = np.flatnonzero((np.diff(u_idx) == 0) & (np.diff(i_idx) == 0))
         if dup.size:
-            d = dup[0]
-            pair = (self._users[u_idx[d]], self._items[i_idx[d]])
+            pair = (users[u_idx[dup[0]]], items[i_idx[dup[0]]])
             raise ValueError(f"duplicate rating for user/item pair {pair!r}")
+        self._build(users, items, u_idx, i_idx, vals)
+
+    def _build(self, users: tuple, items: tuple, u_idx, i_idx, vals) -> None:
+        """Index distinct entries, given in (user, item) order, of every user and item."""
+        self._users: tuple[UserId, ...] = users
+        self._items: tuple[ItemId, ...] = items
+        self._uindex: dict[UserId, int] = {u: i for i, u in enumerate(users)}
+        self._iindex: dict[ItemId, int] = {m: i for i, m in enumerate(items)}
 
         n_users, n_items = len(users), len(items)
         self._uptr = np.zeros(n_users + 1, dtype=np.int64)
@@ -166,7 +167,7 @@ class RatingMatrix:
         self._uitems = i_idx
         self._uvals = vals
 
-        order_i = np.lexsort((u_idx, i_idx))
+        order_i = np.argsort(i_idx, kind="stable")
         self._iptr = np.zeros(n_items + 1, dtype=np.int64)
         np.cumsum(np.bincount(i_idx, minlength=n_items), out=self._iptr[1:])
         self._iusers = u_idx[order_i]
@@ -180,13 +181,32 @@ class RatingMatrix:
         sums = np.bincount(u_idx, weights=vals, minlength=n_users)
         self._umeans = sums / counts
 
-        self._n_ratings = n
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(user index, item index, value) of every entry, in (user, item) order."""
+        users = np.repeat(np.arange(len(self._users)), np.diff(self._uptr))
+        return users, self._uitems, self._uvals
+
+    def _masked(self, keep: np.ndarray) -> RatingMatrix:
+        """The matrix of the entries flagged in ``keep`` (one flag per entry, in
+        (user, item) order); users and items left without an entry drop out."""
+        u_idx, i_idx, vals = (column[keep] for column in self._entries())
+        u_used = np.bincount(u_idx, minlength=len(self._users)) > 0
+        i_used = np.bincount(i_idx, minlength=len(self._items)) > 0
+        sub = object.__new__(RatingMatrix)
+        sub._build(
+            tuple(self._users[u] for u in np.flatnonzero(u_used)),
+            tuple(self._items[i] for i in np.flatnonzero(i_used)),
+            (np.cumsum(u_used) - 1)[u_idx],
+            (np.cumsum(i_used) - 1)[i_idx],
+            vals,
+        )
+        return sub
 
     # -- sizes and identifiers ------------------------------------------------
 
     @property
     def n_ratings(self) -> int:
-        return self._n_ratings
+        return self._uvals.size
 
     @property
     def users(self) -> tuple[UserId, ...]:

@@ -5,14 +5,17 @@ each fold in turn is held out as the test set and every held-out rating is
 predicted from the other four folds. Accuracy is mean absolute error, pooled
 as total absolute error over total predictions.
 
-Evaluation is embarrassingly parallel over test ratings. Results are placed
-into position-indexed arrays and reduced in (user, item) order, so reports
-are identical for any worker count.
+The split builds the run's one ``RatingMatrix`` and labels each entry with a
+fold. A fold's held-out rows are its entries, in (user, item) order; its
+training set is the sub-matrix of the other entries. Batches of rows are
+evaluated in parallel into arrays aligned to the rows and reduced in that
+order, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
@@ -20,10 +23,10 @@ import multiprocessing
 import os
 import sys
 import zlib
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence, get_args
+from types import MappingProxyType
+from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -51,13 +54,29 @@ def _entropy_int(value) -> int:
     return zlib.crc32(str(value).encode("utf-8"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldAssignment:
-    """Seedable per-item partition of (user, item) pairs into folds."""
+    """Seedable partition of a rating set's (user, item) pairs into folds.
+
+    ``matrix`` holds every rating once; ``fold`` is the fold of each of its
+    entries, in (user, item) order.
+    """
 
     seed: int
-    fold_of: dict[tuple[UserId, ItemId], int]
+    matrix: RatingMatrix
+    fold: np.ndarray
     n_folds: int = N_FOLDS
+
+    def __post_init__(self) -> None:
+        self.fold.flags.writeable = False
+
+    @functools.cached_property
+    def fold_of(self) -> Mapping[tuple[UserId, ItemId], int]:
+        """Read-only {(user, item): fold} view, built on first use."""
+        u_idx, i_idx, _ = self.matrix._entries()
+        users, items = self.matrix.users, self.matrix.items
+        pairs = ((users[u], items[i]) for u, i in zip(u_idx.tolist(), i_idx.tolist()))
+        return MappingProxyType(dict(zip(pairs, self.fold.tolist())))
 
 
 def split_folds(
@@ -65,43 +84,37 @@ def split_folds(
 ) -> FoldAssignment:
     """Assign each rating to a fold, stratified per item.
 
-    Every item's raters are shuffled by an RNG seeded from (seed, item) and
-    dealt round-robin from a random starting fold, so per-item fold counts
-    differ by at most one and the assignment depends only on the rating set
-    and the seed, never on input order.
+    Every item's raters, in ascending user id, are shuffled by an RNG seeded
+    from (seed, item) and dealt round-robin from a random starting fold, so
+    per-item fold counts differ by at most one and the assignment depends
+    only on the rating set and the seed, never on input order.
     """
-    if not ratings:
-        raise ValueError("cannot split an empty rating sequence")
-    by_item: dict[ItemId, list[UserId]] = defaultdict(list)
-    for r in ratings:
-        by_item[r.item_id].append(r.user_id)
-
-    fold_of: dict[tuple[UserId, ItemId], int] = {}
-    for item_id, users in by_item.items():
-        users = sorted(users)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                [_FOLD_STREAM, _entropy_int(seed), _entropy_int(item_id)]
-            )
-        )
-        perm = rng.permutation(len(users))
+    if not 1 <= n_folds <= np.iinfo(np.int8).max:
+        raise ValueError(f"n_folds must be in [1, 127], got {n_folds}")
+    matrix = build_matrix(ratings)
+    fold = np.empty(matrix.n_ratings, dtype=np.int8)
+    # Entries grouped by item, each item's raters in ascending user order.
+    by_item = np.argsort(matrix._uitems, kind="stable")
+    bounds = matrix._iptr.tolist()
+    for item_id, lo, hi in zip(matrix.items, bounds, bounds[1:]):
+        rng = np.random.default_rng([_FOLD_STREAM, _entropy_int(seed), _entropy_int(item_id)])
+        perm = rng.permutation(hi - lo)
         start = int(rng.integers(n_folds))
-        for p, j in enumerate(perm):
-            fold_of[(users[j], item_id)] = (start + p) % n_folds
-    return FoldAssignment(seed=seed, fold_of=fold_of, n_folds=n_folds)
+        fold[by_item[lo + perm]] = (start + np.arange(hi - lo)) % n_folds
+    return FoldAssignment(seed=seed, matrix=matrix, fold=fold, n_folds=n_folds)
 
 
 def _split_global(
     ratings: Sequence[Rating], seed: int, n_folds: int = N_FOLDS
 ) -> FoldAssignment:
     """Unstratified alternative: one global shuffle, dealt round-robin."""
-    keys = sorted({(r.user_id, r.item_id) for r in ratings})
-    rng = np.random.default_rng(
-        np.random.SeedSequence([_GLOBAL_STREAM, _entropy_int(seed)])
-    )
-    perm = rng.permutation(len(keys))
-    fold_of = {keys[j]: p % n_folds for p, j in enumerate(perm)}
-    return FoldAssignment(seed=seed, fold_of=fold_of, n_folds=n_folds)
+    if not 1 <= n_folds <= np.iinfo(np.int8).max:
+        raise ValueError(f"n_folds must be in [1, 127], got {n_folds}")
+    matrix = build_matrix(ratings)
+    rng = np.random.default_rng([_GLOBAL_STREAM, _entropy_int(seed)])
+    fold = np.empty(matrix.n_ratings, dtype=np.int8)
+    fold[rng.permutation(fold.size)] = np.arange(fold.size) % n_folds
+    return FoldAssignment(seed=seed, matrix=matrix, fold=fold, n_folds=n_folds)
 
 
 def mae(pairs: Iterable[tuple[float, float]]) -> float:
@@ -129,7 +142,6 @@ class RunConfig:
     sample_test: int | None = None
     workers: int | None = None
     split: SplitMode = "per-item"
-    profiles_path: str | None = None
 
     def __post_init__(self) -> None:
         check_choice("method", self.method, get_args(Method))
@@ -168,44 +180,41 @@ class ExperimentReport:
 
 # -- per-fold evaluation core --------------------------------------------------
 
+Rows = tuple[list[UserId], list[ItemId], list[float]]  # user, item, actual rating
+
 _worker: dict = {}
 
 
 def _init_worker(matrix, calculator, config) -> None:
-    _worker["matrix"] = matrix
-    _worker["calculator"] = calculator
-    _worker["config"] = config
+    _worker.update(matrix=matrix, calculator=calculator, config=config)
 
 
-def _eval_chunk(chunk: list[tuple[int, UserId, ItemId, float]]):
-    return _eval_ratings(
-        _worker["matrix"], _worker["calculator"], _worker["config"], chunk
-    )
+def _eval_chunk(rows: Rows):
+    return _eval_ratings(rows=rows, **_worker)
 
 
 def _eval_ratings(
-    matrix: RatingMatrix | None,
+    matrix: RatingMatrix,
     calculator: WeightCalculator | None,
     config: RunConfig,
-    chunk: list[tuple[int, UserId, ItemId, float]],
+    rows: Rows,
 ):
     """Predict a batch of held-out ratings.
 
-    Returns position-aligned arrays: positions, |error| per k, fallback flag
-    per k, and the positions that were skipped (user absent from training).
+    Returns arrays aligned to the rows: |error| per k, fallback flag per k,
+    and whether the row was predicted. A skipped row (user absent from
+    training) has error 0 and no fallback.
     """
-    n_k = len(config.k_values)
-    positions: list[int] = []
-    errors = [[] for _ in range(n_k)]
-    fallbacks = [[] for _ in range(n_k)]
-    skipped: list[int] = []
+    users, items, actuals = rows
+    errors = np.zeros((len(config.k_values), len(actuals)))
+    fallbacks = np.zeros(errors.shape, dtype=bool)
+    predicted = np.zeros(len(actuals), dtype=bool)
 
     current_user: UserId | None = None
     user_items: list[ItemId] = []
 
-    for pos, user_id, item_id, actual in chunk:
-        if matrix is None or not matrix.has_user(user_id):
-            skipped.append(pos)
+    for row, (user_id, item_id, actual) in enumerate(zip(users, items, actuals)):
+        if not matrix.has_user(user_id):
             continue
         if config.method == "wpc" and user_id != current_user:
             current_user = user_id
@@ -221,40 +230,27 @@ def _eval_ratings(
         else:
             ranked = rank_candidates(user_id, item_id, matrix, min_sim=config.min_sim)
 
-        positions.append(pos)
+        predicted[row] = True
         for ki, k in enumerate(config.k_values):
             ns = NeighborSet(
                 target_item=item_id, active_user=user_id, neighbors=tuple(ranked[:k])
             )
             p = predict(user_id, item_id, ns, matrix, denominator=config.denominator)
-            errors[ki].append(abs(actual - p.value))
-            fallbacks[ki].append(p.fallback)
+            errors[ki, row] = abs(actual - p.value)
+            fallbacks[ki, row] = p.fallback
 
-    return (
-        np.asarray(positions, dtype=np.int64),
-        np.asarray(errors, dtype=np.float64),
-        np.asarray(fallbacks, dtype=bool),
-        np.asarray(skipped, dtype=np.int64),
-    )
+    return errors, fallbacks, predicted
 
 
-def _chunk_by_user(
-    test: list[tuple[int, UserId, ItemId, float]], n_chunks: int
-) -> list[list[tuple[int, UserId, ItemId, float]]]:
-    """Split position-tagged test ratings into chunks on user boundaries."""
-    groups: list[list[tuple[int, UserId, ItemId, float]]] = []
-    for row in test:
-        if groups and groups[-1][0][1] == row[1]:
-            groups[-1].append(row)
-        else:
-            groups.append([row])
-    target = max(1, len(test) // max(1, n_chunks))
-    chunks: list[list[tuple[int, UserId, ItemId, float]]] = [[]]
-    for g in groups:
-        if chunks[-1] and len(chunks[-1]) >= target:
-            chunks.append([])
-        chunks[-1].extend(g)
-    return [c for c in chunks if c]
+def _chunk_bounds(user_rows: np.ndarray, n_chunks: int) -> list[int]:
+    """Cut points of consecutive chunks of about len/n_chunks rows, cut only
+    where the user changes; ``user_rows`` is each row's user, grouped."""
+    target = max(1, user_rows.size // max(1, n_chunks))
+    cuts = [0]
+    for start in (np.flatnonzero(np.diff(user_rows)) + 1).tolist():
+        if start - cuts[-1] >= target:
+            cuts.append(start)
+    return cuts + [user_rows.size]
 
 
 def run_experiment(
@@ -268,95 +264,79 @@ def run_experiment(
     optional per-fold test subsample, and the reduction order are all fixed
     by the seed, independent of worker count.
     """
-    ratings = list(ratings)
     if config.method == "wpc" and profiles is None:
         raise ValueError("method 'wpc' requires movie profiles")
 
-    if config.split == "global":
-        folds = _split_global(ratings, config.seed)
-    else:
-        folds = split_folds(ratings, config.seed)
+    split = _split_global if config.split == "global" else split_folds
+    folds = split(ratings, config.seed)
+    full = folds.matrix
+    entry_users, entry_items, entry_values = full._entries()
 
     n_k = len(config.k_values)
     fold_err_sums = np.zeros((folds.n_folds, n_k))
+    fold_maes = np.zeros((folds.n_folds, n_k))
     fold_pred_counts = np.zeros(folds.n_folds, dtype=np.int64)
     fallback_counts = np.zeros(n_k, dtype=np.int64)
     skipped_total = 0
 
     for f in range(folds.n_folds):
-        train = [r for r in ratings if folds.fold_of[(r.user_id, r.item_id)] != f]
-        test = [r for r in ratings if folds.fold_of[(r.user_id, r.item_id)] == f]
-        test.sort(key=lambda r: (r.user_id, r.item_id))
-        if config.sample_test is not None and len(test) > config.sample_test:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    [_SAMPLE_STREAM, _entropy_int(config.seed), f]
-                )
-            )
-            picked = rng.choice(len(test), size=config.sample_test, replace=False)
-            test = [test[i] for i in np.sort(picked)]
+        in_fold = folds.fold == f
+        # Held-out entries, already in (user, item) order.
+        held = np.flatnonzero(in_fold)
+        if config.sample_test is not None and held.size > config.sample_test:
+            rng = np.random.default_rng([_SAMPLE_STREAM, _entropy_int(config.seed), f])
+            picked = rng.choice(held.size, size=config.sample_test, replace=False)
+            held = held[np.sort(picked)]
 
-        tagged = [(i, r.user_id, r.item_id, float(r.value)) for i, r in enumerate(test)]
-        matrix = build_matrix(train) if train else None
+        user_rows = entry_users[held]
+        rows: Rows = (
+            [full.users[u] for u in user_rows.tolist()],
+            [full.items[i] for i in entry_items[held].tolist()],
+            entry_values[held].tolist(),
+        )
+        # A fold holding every rating leaves an empty matrix: every row is skipped.
+        matrix = full._masked(~in_fold)
         calculator = None
-        if config.method == "wpc" and matrix is not None:
+        if config.method == "wpc":
             calculator = WeightCalculator(profiles, k0_branch=config.k0_branch)
 
         n_workers = config.effective_workers
-        abs_err = np.full((n_k, len(test)), np.nan)
-        fell = np.zeros((n_k, len(test)), dtype=bool)
-        predicted = np.zeros(len(test), dtype=bool)
-
-        def _absorb(result) -> None:
-            positions, errors, fallbacks, skipped_pos = result
-            if positions.size:
-                abs_err[:, positions] = errors
-                fell[:, positions] = fallbacks
-                predicted[positions] = True
-
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # platforms without fork: evaluate serially
             ctx = None
-        if ctx is None or n_workers <= 1 or len(test) < 2 * n_workers:
-            _absorb(_eval_ratings(matrix, calculator, config, tagged))
+        if ctx is None or n_workers <= 1 or held.size < 2 * n_workers:
+            results = [_eval_ratings(matrix, calculator, config, rows)]
         else:
-            chunks = _chunk_by_user(tagged, n_chunks=4 * n_workers)
+            cuts = _chunk_bounds(user_rows, n_chunks=4 * n_workers)
+            chunks = [tuple(col[lo:hi] for col in rows) for lo, hi in zip(cuts, cuts[1:])]
             with ProcessPoolExecutor(
                 max_workers=n_workers,
                 mp_context=ctx,
                 initializer=_init_worker,
                 initargs=(matrix, calculator, config),
             ) as pool:
-                for result in pool.map(_eval_chunk, chunks):
-                    _absorb(result)
+                results = list(pool.map(_eval_chunk, chunks))
+        # Chunks are consecutive and map keeps their order, so the
+        # concatenation is aligned to the fold's rows.
+        abs_err, fell, predicted = (np.concatenate(c, axis=-1) for c in zip(*results))
 
         n_pred = int(predicted.sum())
         fold_pred_counts[f] = n_pred
-        skipped_total += len(test) - n_pred
-        if n_pred:
-            fold_err_sums[f] = np.nansum(abs_err, axis=1)
-            fallback_counts += fell.sum(axis=1)
-        fold_mae = fold_err_sums[f] / n_pred if n_pred else np.full(n_k, np.nan)
+        skipped_total += held.size - n_pred
+        # Skipped rows hold 0, so these are the sums over the predicted rows.
+        fold_err_sums[f] = np.sum(abs_err, axis=1)
+        fallback_counts += fell.sum(axis=1)
+        fold_maes[f] = fold_err_sums[f] / n_pred if n_pred else np.nan
         logger.info(
             "fold %d/%d (%s): %d predictions, %d skipped, mae per k %s",
-            f + 1,
-            folds.n_folds,
-            config.method,
-            n_pred,
-            len(test) - n_pred,
-            np.round(fold_mae, 4).tolist(),
+            f + 1, folds.n_folds, config.method, n_pred, held.size - n_pred,
+            np.round(fold_maes[f], 4).tolist(),
         )
 
     total_preds = int(fold_pred_counts.sum())
     reports = []
     for ki, k in enumerate(config.k_values):
-        fold_maes = tuple(
-            float(fold_err_sums[f, ki] / fold_pred_counts[f])
-            if fold_pred_counts[f]
-            else float("nan")
-            for f in range(folds.n_folds)
-        )
         pooled = (
             float(fold_err_sums[:, ki].sum() / total_preds) if total_preds else float("nan")
         )
@@ -364,7 +344,7 @@ def run_experiment(
             ExperimentReport(
                 method=config.method,
                 k=k,
-                fold_maes=fold_maes,
+                fold_maes=tuple(fold_maes[:, ki].tolist()),
                 mae=pooled,
                 predictions=total_preds,
                 fallbacks=int(fallback_counts[ki]),

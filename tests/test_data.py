@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contentcf.data import MovieProfile, ProfileSource, Rating, build_matrix
 from conftest import as_ratings, rating_triples
@@ -80,6 +82,31 @@ def test_matrix_input_order_irrelevant(triples):
     backward = build_matrix(as_ratings(triples[::-1]))
     assert forward.user_means == backward.user_means
     assert forward.item_raters == backward.item_raters
+
+
+_MATRIX_ARRAYS = ("_uptr", "_uitems", "_uvals", "_iptr", "_iusers", "_ivals", "_umeans")
+
+
+@settings(max_examples=150)
+@given(rating_triples(max_ratings=50), st.data())
+def test_masked_submatrix_equals_a_fresh_build(triples, data):
+    """A masked sub-matrix is, to the bit, the matrix built from the kept ratings."""
+    full = build_matrix(as_ratings(triples))
+    flags = st.lists(st.booleans(), min_size=len(triples), max_size=len(triples))
+    keep = np.asarray(data.draw(flags), dtype=bool)
+    sub = full._masked(keep)
+    if not keep.any():
+        assert (sub.users, sub.items, sub.n_ratings) == ((), (), 0)
+        assert not sub.has_user(triples[0][0])
+        return
+    # Entries are in (user, item) order, as the sorted triples are.
+    fresh = build_matrix(as_ratings([t for t, k in zip(triples, keep) if k]))
+    assert sub.users == fresh.users
+    assert sub.items == fresh.items
+    assert sub.n_ratings == fresh.n_ratings
+    for name in _MATRIX_ARRAYS:
+        a, b = getattr(sub, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestMovieProfile:

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from contentcf.data import MovieProfile
+from contentcf import evaluation
+from contentcf.cf import rank_candidates
+from contentcf.data import MovieProfile, build_matrix
 from contentcf.evaluation import (
     ExperimentReport,
     RunConfig,
+    _split_global,
     emit_report,
     format_comparison_grid,
     mae,
@@ -21,6 +25,9 @@ from contentcf.evaluation import (
 )
 from conftest import as_ratings, rating_triples
 from oracle import naive_evaluate, naive_item_weight
+
+
+SPLITS = {"per-item": split_folds, "global": _split_global}
 
 
 def ratings_for_item(n, item_id=7):
@@ -53,6 +60,56 @@ class TestSplitFolds:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             split_folds([], seed=1)
+
+    @pytest.mark.parametrize("n_folds", [0, 128])
+    @pytest.mark.parametrize("mode", sorted(SPLITS))
+    def test_fold_count_outside_the_label_range_rejected(self, mode, n_folds):
+        with pytest.raises(ValueError, match="n_folds"):
+            SPLITS[mode](ratings_for_item(300), seed=1, n_folds=n_folds)
+
+    def test_folds_label_the_matrix_entries(self):
+        rs = as_ratings(synthetic_dataset())
+        folds = split_folds(rs, seed=4)
+        assert folds.fold.dtype == np.int8
+        assert folds.fold.shape == (folds.matrix.n_ratings,) == (len(rs),)
+        assert not folds.fold.flags.writeable
+        users, items = folds.matrix.users, folds.matrix.items
+        u_idx, i_idx, _ = folds.matrix._entries()
+        pairs = [(users[u], items[i]) for u, i in zip(u_idx, i_idx)]
+        assert pairs == sorted((r.user_id, r.item_id) for r in rs)
+        assert [folds.fold_of[p] for p in pairs] == folds.fold.tolist()
+        with pytest.raises(TypeError):
+            folds.fold_of[pairs[0]] = 0
+
+
+# sha256 of the sorted fold_of items of synthetic_dataset(n_users=60) at seed
+# 42, recorded when the assignment was a dict filled rating by rating.
+PINNED_ASSIGNMENTS = {
+    "per-item": "77dd3d11028bdb5a58f72b82308b29137f7973eab58e3c15918f83233df4caf0",
+    "global": "84e5cffad5177f77f414593444c2317e4ca6e63d3669a77d6f81908d2e5d8fe8",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SPLITS))
+def test_fold_assignment_pinned(mode):
+    folds = SPLITS[mode](as_ratings(synthetic_dataset(n_users=60)), seed=42)
+    digest = hashlib.sha256(repr(sorted(folds.fold_of.items())).encode()).hexdigest()
+    assert digest == PINNED_ASSIGNMENTS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(SPLITS))
+def test_duplicate_pair_rejected_at_the_split(mode, monkeypatch):
+    rs = as_ratings(
+        [(1, 10, 4), (2, 10, 3), (3, 10, 5), (1, 20, 2), (2, 20, 1), (1, 10, 5)]
+    )
+    with pytest.raises(ValueError, match=r"duplicate.*\(1, 10\)"):
+        SPLITS[mode](rs, seed=1)
+
+    ranked = []
+    monkeypatch.setattr(evaluation, "rank_candidates", lambda *a, **kw: ranked.append(a))
+    with pytest.raises(ValueError, match=r"duplicate.*\(1, 10\)"):
+        run_experiment(rs, RunConfig(method="pc", k_values=(2,), workers=1, split=mode))
+    assert ranked == []
 
 
 @settings(max_examples=200)
@@ -186,6 +243,14 @@ class TestRunExperiment:
         reports = run_experiment(rs, cfg)
         assert reports[0].predictions + reports[0].skipped == len(rs)
 
+    @pytest.mark.parametrize("split", sorted(SPLITS))
+    def test_fold_holding_every_rating_skips_it(self, split):
+        # One rating: its fold trains on an empty matrix, every other fold holds nothing.
+        cfg = RunConfig(method="pc", k_values=(1,), seed=3, workers=1, split=split)
+        r = run_experiment(as_ratings([(1, 10, 4)]), cfg)[0]
+        assert (r.predictions, r.fallbacks, r.skipped) == (0, 0, 1)
+        assert all(np.isnan(m) for m in r.fold_maes) and np.isnan(r.mae)
+
     def test_counts_balance(self):
         rs = as_ratings(synthetic_dataset(seed=33))
         cfg = RunConfig(method="pc", k_values=(2,), seed=4, workers=1)
@@ -194,6 +259,64 @@ class TestRunExperiment:
         assert len(r.fold_maes) == 5
         # Pooled MAE is the prediction-weighted mean of the fold MAEs.
         assert 0.0 <= r.mae <= 4.0
+
+
+def moderate_dataset(seed=5):
+    """120 users x 80 items, ~3,000 ratings. Users 101-120 copy the rows of
+    users 1-20, so candidates with exactly equal similarity are common."""
+    rng = np.random.default_rng(seed)
+    rows = {}
+    for u in range(1, 101):
+        items = rng.choice(80, size=int(rng.integers(15, 36)), replace=False)
+        rows[u] = [(int(i) + 100, int(rng.integers(1, 6))) for i in items]
+    for u in range(101, 121):
+        rows[u] = rows[u - 100]
+    return [(u, i, v) for u, row in rows.items() for i, v in row]
+
+
+class TestModerateScale:
+    """The whole protocol at a size where folds, ties and chunking all matter."""
+
+    K = (5, 10, 30)
+
+    def test_dataset_has_exact_ties(self):
+        triples = moderate_dataset()
+        assert 2800 <= len(triples) <= 3200
+        matrix = build_matrix(as_ratings(triples))
+        ranked = rank_candidates(50, 100, matrix)
+        values = [s.value for s in ranked]
+        assert any(a == b for a, b in zip(values, values[1:]))
+
+    def test_pc_matches_protocol_oracle(self):
+        triples = moderate_dataset()
+        rs = as_ratings(triples)
+        cfg = RunConfig(method="pc", k_values=self.K, seed=8, workers=1)
+        reports = run_experiment(rs, cfg)
+        expected = naive_evaluate(triples, split_folds(rs, seed=8).fold_of, 5, self.K)
+        for r in reports:
+            exp_mae, *exp_counts = expected[r.k]
+            assert r.mae == pytest.approx(exp_mae, abs=1e-12)
+            assert [r.predictions, r.fallbacks, r.skipped] == exp_counts
+
+    @pytest.mark.parametrize("sample_test", [None, 150])
+    @pytest.mark.parametrize("split", sorted(SPLITS))
+    def test_worker_count_does_not_change_reports(self, split, sample_test):
+        rs = as_ratings(moderate_dataset())
+        reports = [
+            run_experiment(
+                rs,
+                RunConfig(
+                    method="pc",
+                    k_values=self.K,
+                    seed=8,
+                    workers=workers,
+                    split=split,
+                    sample_test=sample_test,
+                ),
+            )
+            for workers in (1, 2)
+        ]
+        assert reports[0] == reports[1]
 
 
 class TestRunConfig:
