@@ -47,9 +47,14 @@ _SAMPLE_STREAM = 0x5A3D7
 _GLOBAL_STREAM = 0x6C0BA
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _entropy_int(value) -> int:
     """A stable non-negative integer from a seed component or an opaque id."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if _is_int(value):
         return int(value) & 0xFFFFFFFFFFFFFFFF
     return zlib.crc32(str(value).encode("utf-8"))
 
@@ -150,15 +155,18 @@ class RunConfig:
         check_choice("split", self.split, get_args(SplitMode))
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
-        if any(k < 1 for k in self.k_values):
-            raise ValueError("every k must be >= 1")
-        object.__setattr__(self, "k_values", tuple(self.k_values))
+        if not all(_is_int(k) and k >= 1 for k in self.k_values):
+            raise ValueError(f"every k must be an integer >= 1, got {self.k_values!r}")
+        k_values = tuple(int(k) for k in self.k_values)
+        if len(set(k_values)) != len(k_values):
+            raise ValueError(f"k_values must not repeat a value, got {k_values!r}")
+        object.__setattr__(self, "k_values", k_values)
         if self.min_sim is not None and not math.isfinite(self.min_sim):
             raise ValueError(f"min_sim must be a finite number, got {self.min_sim!r}")
-        if self.sample_test is not None and self.sample_test < 1:
-            raise ValueError("sample_test must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for all cores)")
+        for name in ("sample_test", "workers"):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1 or None, got {value!r}")
 
     @property
     def effective_workers(self) -> int:
@@ -264,12 +272,22 @@ def run_experiment(
     optional per-fold test subsample, and the reduction order are all fixed
     by the seed, independent of worker count.
     """
-    if config.method == "wpc" and profiles is None:
-        raise ValueError("method 'wpc' requires movie profiles")
+    calculator = None
+    if config.method == "wpc":
+        if profiles is None:
+            raise ValueError("method 'wpc' requires movie profiles")
+        calculator = WeightCalculator(profiles, k0_branch=config.k0_branch)
 
     split = _split_global if config.split == "global" else split_folds
     folds = split(ratings, config.seed)
     full = folds.matrix
+    if calculator is not None:
+        unprofiled = [m for m in full.items if not calculator.has_profile(m)]
+        if unprofiled:
+            raise ValueError(
+                f"{len(unprofiled)} rated item(s) have no profile, "
+                f"e.g. {', '.join(map(repr, unprofiled[:5]))}"
+            )
     entry_users, entry_items, entry_values = full._entries()
 
     n_k = len(config.k_values)
@@ -296,9 +314,6 @@ def run_experiment(
         )
         # A fold holding every rating leaves an empty matrix: every row is skipped.
         matrix = full._masked(~in_fold)
-        calculator = None
-        if config.method == "wpc":
-            calculator = WeightCalculator(profiles, k0_branch=config.k0_branch)
 
         n_workers = config.effective_workers
         try:

@@ -14,7 +14,7 @@ import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .data import (
     MOVIELENS_GENRES,
@@ -345,6 +345,29 @@ def _title_candidates(title: str) -> list[str]:
 # -- overrides and assembly ------------------------------------------------------
 
 
+def _read_records(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSON-lines file.
+
+    A line that is not a JSON object, or an object without one of the
+    ``required`` fields, raises ValueError naming the file and line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}: line {lineno}: record must be a JSON object")
+            missing = [f for f in required if f not in record]
+            if missing:
+                raise ValueError(f"{path}: line {lineno}: record lacks {', '.join(missing)}")
+            yield lineno, record
+
+
 def load_overrides(
     path,
     known_items: set[ItemId] | None = None,
@@ -357,34 +380,24 @@ def load_overrides(
     a warning.
     """
     profiles: list[MovieProfile] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict) or "item_id" not in record:
-                raise ValueError(f"{path}: line {lineno}: record must be an object with item_id")
-            item_id = record["item_id"]
-            if known_items is not None and item_id not in known_items:
-                logger.warning("%s: line %d: unknown item %r, record skipped", path, lineno, item_id)
-                continue
-            actors = list(record.get("actors", []))
-            if actor_cap is not None and len(actors) > actor_cap:
-                actors = actors[:actor_cap]
-            profiles.append(
-                MovieProfile(
-                    item_id=item_id,
-                    title=record.get("title", ""),
-                    genres=frozenset(record.get("genres", [])),
-                    directors=frozenset(record.get("directors", [])),
-                    actors=frozenset(actors),
-                    source=ProfileSource.OVERRIDE,
-                )
+    for lineno, record in _read_records(path, required=("item_id",)):
+        item_id = record["item_id"]
+        if known_items is not None and item_id not in known_items:
+            logger.warning("%s: line %d: unknown item %r, record skipped", path, lineno, item_id)
+            continue
+        actors = list(record.get("actors", []))
+        if actor_cap is not None and len(actors) > actor_cap:
+            actors = actors[:actor_cap]
+        profiles.append(
+            MovieProfile(
+                item_id=item_id,
+                title=record.get("title", ""),
+                genres=frozenset(record.get("genres", [])),
+                directors=frozenset(record.get("directors", [])),
+                actors=frozenset(actors),
+                source=ProfileSource.OVERRIDE,
             )
+        )
     return profiles
 
 
@@ -477,23 +490,15 @@ def save_fetched(outcomes: Sequence[FetchOutcome], path) -> None:
 
 def load_fetched(path) -> dict[ItemId, FetchOutcome]:
     out: dict[ItemId, FetchOutcome] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                r = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            out[r["item_id"]] = FetchOutcome(
-                item_id=r["item_id"],
-                title=r.get("title", ""),
-                status=r["status"],
-                directors=frozenset(r.get("directors", [])),
-                actors=frozenset(r.get("actors", [])),
-                multi_title=bool(r.get("multi_title", False)),
-            )
+    for _, r in _read_records(path, required=("item_id", "status")):
+        out[r["item_id"]] = FetchOutcome(
+            item_id=r["item_id"],
+            title=r.get("title", ""),
+            status=r["status"],
+            directors=frozenset(r.get("directors", [])),
+            actors=frozenset(r.get("actors", [])),
+            multi_title=bool(r.get("multi_title", False)),
+        )
     return out
 
 
@@ -525,29 +530,21 @@ def load_profiles(path) -> ProfileStore:
         ProfileSource.LINKED_DATA: "fetched-ok",
         ProfileSource.DATASET: "dataset-only",
     }
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                r = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            try:
-                source = ProfileSource(r.get("source", "dataset"))
-                profile = MovieProfile(
-                    item_id=r["item_id"],
-                    title=r.get("title", ""),
-                    genres=frozenset(r["genres"]),
-                    directors=frozenset(r.get("directors", [])),
-                    actors=frozenset(r.get("actors", [])),
-                    source=source,
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: bad profile record: {exc}") from None
-            profiles[profile.item_id] = profile
-            log[profile.item_id] = FetchLogEntry(status_of[source])
+    for lineno, r in _read_records(path, required=("item_id", "genres")):
+        try:
+            source = ProfileSource(r.get("source", "dataset"))
+            profile = MovieProfile(
+                item_id=r["item_id"],
+                title=r.get("title", ""),
+                genres=frozenset(r["genres"]),
+                directors=frozenset(r.get("directors", [])),
+                actors=frozenset(r.get("actors", [])),
+                source=source,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad profile record: {exc}") from None
+        profiles[profile.item_id] = profile
+        log[profile.item_id] = FetchLogEntry(status_of[source])
     if not profiles:
         raise ValueError(f"{path}: no profiles found")
     return ProfileStore(profiles=profiles, fetch_log=log)

@@ -11,8 +11,6 @@ small positive floor so they never dominate nor vanish.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, get_args
 
@@ -23,8 +21,6 @@ _K0_BRANCHES = get_args(K0Branch)
 
 # Normalized (genres, directors, actors) of one movie.
 FeatureSets = tuple[frozenset[str], frozenset[str], frozenset[str]]
-
-DEFAULT_MAX_TARGETS = 1024
 
 
 def _norm_label(label: str) -> str:
@@ -163,87 +159,50 @@ def _smoothed_weight(
     return 1.0 / max_feature_count
 
 
-class ProfileCatalog:
-    """Normalized feature sets for a profile store, shared by weight lookups."""
+class WeightCalculator:
+    """Content weights relative to a target, over a profile store.
 
-    def __init__(self, store):
-        profiles = _profiles_of(store)
+    ``__init__`` normalizes every profile's feature sets once; after that the
+    calculator holds no mutable state, so one instance serves every fold,
+    thread and forked worker of a run. Each weight is computed on request.
+    """
+
+    def __init__(self, store, k0_branch: K0Branch = "mv"):
+        check_choice("k0_branch", k0_branch, _K0_BRANCHES)
+        self._k0_branch: K0Branch = k0_branch
         self._sets: dict[ItemId, FeatureSets] = {
-            item_id: _feature_sets(profile) for item_id, profile in profiles.items()
+            item_id: _feature_sets(profile)
+            for item_id, profile in _profiles_of(store).items()
         }
         self.max_feature_count = max(
             [1] + [len(g) + len(d) + len(a) for g, d, a in self._sets.values()]
         )
 
-    def __contains__(self, item_id: ItemId) -> bool:
+    def has_profile(self, item_id: ItemId) -> bool:
         return item_id in self._sets
 
-    def feature_sets(self, item_id: ItemId) -> FeatureSets:
+    def _feature_sets_of(self, item_id: ItemId) -> FeatureSets:
         try:
             return self._sets[item_id]
         except KeyError:
             raise KeyError(f"item {item_id!r} has no profile") from None
 
-
-class WeightCalculator:
-    """Per-target content weights with a bounded memo.
-
-    Weights are computed lazily for requested candidates and cached per
-    target; the cache holds at most ``max_targets`` targets (LRU). Reads may
-    come from many threads; a computation duplicated under contention is
-    harmless because results are deterministic.
-    """
-
-    def __init__(
-        self,
-        store,
-        k0_branch: K0Branch = "mv",
-        max_targets: int = DEFAULT_MAX_TARGETS,
-    ):
-        if max_targets < 1:
-            raise ValueError("max_targets must be >= 1")
-        check_choice("k0_branch", k0_branch, _K0_BRANCHES)
-        self._catalog = ProfileCatalog(store)
-        self._k0_branch: K0Branch = k0_branch
-        self._max_targets = max_targets
-        self._cache: OrderedDict[ItemId, dict[ItemId, float]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    @property
-    def max_feature_count(self) -> int:
-        return self._catalog.max_feature_count
-
     def weight(self, item_id: ItemId, target_id: ItemId) -> float:
         """Weight of a single catalog item relative to the target."""
         return _smoothed_weight(
-            self._catalog.feature_sets(item_id),
-            self._catalog.feature_sets(target_id),
-            self._catalog.max_feature_count,
+            self._feature_sets_of(item_id),
+            self._feature_sets_of(target_id),
+            self.max_feature_count,
             self._k0_branch,
         )
 
     def weights_for(self, target_id: ItemId, candidates: Iterable[ItemId]) -> WeightVector:
-        if target_id not in self._catalog:
+        if not self.has_profile(target_id):
             raise KeyError(f"target item {target_id!r} has no profile")
-        wanted = list(candidates)
-        with self._lock:
-            memo = self._cache.get(target_id, {})
-            known = {c: memo[c] for c in wanted if c in memo}
-        computed = {
-            c: self.weight(c, target_id) for c in wanted if c not in known
-        }
-        if computed:
-            with self._lock:
-                memo = self._cache.setdefault(target_id, {})
-                memo.update(computed)
-                self._cache.move_to_end(target_id)
-                while len(self._cache) > self._max_targets:
-                    self._cache.popitem(last=False)
-        weights = {c: known[c] if c in known else computed[c] for c in wanted}
         return WeightVector(
             target_id=target_id,
-            weights=weights,
-            max_feature_count=self._catalog.max_feature_count,
+            weights={c: self.weight(c, target_id) for c in candidates},
+            max_feature_count=self.max_feature_count,
         )
 
 

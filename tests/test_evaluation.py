@@ -226,6 +226,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="profiles"):
             run_experiment(rs, RunConfig(method="wpc", workers=1))
 
+    @pytest.mark.parametrize("sample_test", [None, 3])
+    def test_unprofiled_rated_item_rejected_at_the_split(self, sample_test, monkeypatch):
+        rs = as_ratings(synthetic_dataset())
+        profiles = synthetic_profiles()
+        del profiles[105], profiles[107]
+        ranked = []
+        monkeypatch.setattr(evaluation, "rank_candidates", lambda *a, **kw: ranked.append(a))
+        cfg = RunConfig(method="wpc", k_values=(3,), workers=2, sample_test=sample_test)
+        with pytest.raises(ValueError, match=r"2 rated item\(s\) have no profile, e.g. 105, 107"):
+            run_experiment(rs, cfg, profiles=StoreStub(profiles))
+        assert ranked == []
+
+    def test_one_calculator_per_run(self, monkeypatch):
+        inits = []
+        original = evaluation.WeightCalculator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            inits.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation.WeightCalculator, "__init__", counting_init)
+        rs = as_ratings(synthetic_dataset())
+        cfg = RunConfig(method="wpc", k_values=(3,), seed=5, workers=1)
+        reports = run_experiment(rs, cfg, profiles=StoreStub(synthetic_profiles()))
+        assert len(reports[0].fold_maes) == 5
+        assert len(inits) == 1
+
     def test_sample_test_limits_predictions(self):
         rs = as_ratings(synthetic_dataset())
         cfg = RunConfig(method="pc", k_values=(3,), seed=2, workers=1, sample_test=5)
@@ -274,6 +301,33 @@ def moderate_dataset(seed=5):
     return [(u, i, v) for u, row in rows.items() for i, v in row]
 
 
+def moderate_profiles(seed=5):
+    """A catalog for moderate_dataset's 80 items with genre, director and actor
+    blocks. Labels vary in case and padding, and people names are shared
+    between the director and actor pools, so normalization and the feature
+    namespaces both matter."""
+    rng = np.random.default_rng(seed)
+    genres = [f"Genre {g}" for g in range(10)]
+    people = [f"Person {p}" for p in range(25)]
+
+    def labels(pool, lo, hi):
+        picked = rng.choice(pool, size=int(rng.integers(lo, hi + 1)), replace=False)
+        return frozenset(
+            str(x).upper() if rng.random() < 0.3 else f" {x} " for x in picked.tolist()
+        )
+
+    return {
+        item: MovieProfile(
+            item_id=item,
+            title=f"m{item}",
+            genres=labels(genres, 1, 3),
+            directors=labels(people[:10], 0, 2),
+            actors=labels(people[5:], 0, 6),
+        )
+        for item in range(100, 180)
+    }
+
+
 class TestModerateScale:
     """The whole protocol at a size where folds, ties and chunking all matter."""
 
@@ -298,21 +352,56 @@ class TestModerateScale:
             assert r.mae == pytest.approx(exp_mae, abs=1e-12)
             assert [r.predictions, r.fallbacks, r.skipped] == exp_counts
 
-    @pytest.mark.parametrize("sample_test", [None, 150])
-    @pytest.mark.parametrize("split", sorted(SPLITS))
-    def test_worker_count_does_not_change_reports(self, split, sample_test):
+    def test_wpc_matches_protocol_oracle(self):
+        triples = moderate_dataset()
+        rs = as_ratings(triples)
+        profiles = moderate_profiles()
+        cfg = RunConfig(method="wpc", k_values=self.K, seed=8, workers=1)
+        reports = run_experiment(rs, cfg, profiles=StoreStub(profiles))
+
+        def norm(labels):
+            return frozenset(x.strip().casefold() for x in labels)
+
+        sets = {i: (norm(p.genres), norm(p.directors), norm(p.actors)) for i, p in profiles.items()}
+        mfc = max(len(g) + len(d) + len(a) for g, d, a in sets.values())
+        memo = {}
+
+        def weights_fn(target):
+            if target not in memo:
+                memo[target] = {i: naive_item_weight(s, sets[target], mfc) for i, s in sets.items()}
+            return memo[target]
+
+        folds = split_folds(rs, seed=8)
+        expected = naive_evaluate(triples, folds.fold_of, 5, self.K, weights_fn=weights_fn)
+        for r in reports:
+            exp_mae, *exp_counts = expected[r.k]
+            assert r.mae == pytest.approx(exp_mae, abs=1e-12)
+            assert [r.predictions, r.fallbacks, r.skipped] == exp_counts
+
+    @pytest.mark.parametrize(
+        "method, split, sample_test",
+        [
+            # pc cases keep their plain "<split>-<sample_test>" ids.
+            pytest.param(m, s, n, id=f"{s}-{n}" if m == "pc" else f"{m}-{s}-{n}")
+            for m in ("pc", "wpc")
+            for n in (None, 150)
+            for s in sorted(SPLITS)
+        ],
+    )
+    def test_worker_count_does_not_change_reports(self, method, split, sample_test):
         rs = as_ratings(moderate_dataset())
         reports = [
             run_experiment(
                 rs,
                 RunConfig(
-                    method="pc",
+                    method=method,
                     k_values=self.K,
                     seed=8,
                     workers=workers,
                     split=split,
                     sample_test=sample_test,
                 ),
+                profiles=StoreStub(moderate_profiles()),
             )
             for workers in (1, 2)
         ]
@@ -340,11 +429,22 @@ class TestRunConfig:
             {"k0_branch": "x"},
             {"min_sim": float("nan")},
             {"workers": -3},
+            {"k_values": (2.5,)},
+            {"k_values": (True,)},
+            {"k_values": (3, 3)},
+            {"sample_test": 2.5},
+            {"sample_test": True},
+            {"workers": 1.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = RunConfig(k_values=(np.int64(5), 7), sample_test=np.int32(3), workers=np.int64(2))
+        assert cfg.k_values == (5, 7)
+        assert all(type(k) is int for k in cfg.k_values)
 
 
 def _reports():

@@ -409,3 +409,45 @@ class TestPersistence:
         save_profiles(store, path)
         assert "Août" in path.read_text(encoding="utf-8")
         assert load_profiles(path).get(10).directors == {"Bille Août"}
+
+
+# One valid record per loader, and the field each one requires beyond item_id.
+LOADERS = {
+    "overrides": (load_overrides, {"item_id": 1, "actors": ["A"]}, "item_id"),
+    "fetched": (load_fetched, {"item_id": 1, "status": "ok"}, "status"),
+    "profiles": (load_profiles, {"item_id": 1, "genres": ["Drama"]}, "genres"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+class TestJsonLinesRecords:
+    def _write(self, tmp_path, loader, second_line):
+        _, record, _ = LOADERS[loader]
+        path = tmp_path / f"{loader}.jsonl"
+        path.write_text(json.dumps(record) + "\n" + second_line + "\n")
+        return LOADERS[loader][0], path
+
+    def test_blank_lines_skipped(self, tmp_path, loader):
+        load, path = self._write(tmp_path, loader, "   ")
+        assert len(load(path)) == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "invalid JSON"),
+            ("[1, 2]", "record must be a JSON object"),
+            ('"item"', "record must be a JSON object"),
+        ],
+    )
+    def test_malformed_line_rejected_with_its_number(self, tmp_path, loader, line, message):
+        load, path = self._write(tmp_path, loader, line)
+        with pytest.raises(ValueError, match=f"{path.name}: line 2: {message}"):
+            load(path)
+
+    def test_missing_required_field_rejected_with_its_number(self, tmp_path, loader):
+        _, record, required = LOADERS[loader]
+        load, path = self._write(
+            tmp_path, loader, json.dumps({k: v for k, v in record.items() if k != required})
+        )
+        with pytest.raises(ValueError, match=f"{path.name}: line 2: record lacks {required}"):
+            load(path)

@@ -246,17 +246,6 @@ class TestWeightsForTarget:
         with pytest.raises(KeyError, match="998"):
             calc.weights_for(998, [100])
 
-    def test_lru_eviction_keeps_results_stable(self):
-        catalog = _catalog()
-        store = _store(catalog)
-        calc = WeightCalculator(store, max_targets=2)
-        ids = [p.item_id for p in catalog]
-        before = calc.weights_for(100, ids).weights
-        for t in ids[1:6]:  # force eviction of target 100
-            calc.weights_for(t, ids)
-        after = calc.weights_for(100, ids).weights
-        assert before == after
-
     def test_module_level_helper(self):
         catalog = _catalog()
         store = _store(catalog)
