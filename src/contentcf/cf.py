@@ -5,18 +5,19 @@ from each user's global mean, optionally weight-scaled per item by content
 weights, and damped by a significance factor when the co-rated overlap is
 small. Neighbors are drawn only from users who rated the target item.
 
-One kernel, ``_correlate``, does the correlation arithmetic for every caller.
-Ranking feeds it, once per active user, the flat (item, rater, rating)
-triples covering that user's whole row, grouped by rater; ``pearson`` and
-``weighted_pearson`` feed it one pair's co-rated items as a single group.
+One kernel, ``_correlate``, sums co-rated deviations per group for every
+caller, over one gather: the active user's (item, rater) entries with both
+deviations. Ranking groups the gather by rater; ``pearson`` and
+``weighted_pearson`` take the entries rated by the other user as one group.
+The gather and its unweighted scores are memoised, read-only, for the last
+(matrix, user) asked for, which keeps that matrix alive until the next.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
+import functools
 from dataclasses import dataclass
-from typing import Literal, get_args
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -64,7 +65,11 @@ def significance_factor(overlap: int) -> float:
     """Damping in (0, 1]: overlap/50 below the 50 co-rating threshold, else 1."""
     if overlap < 0:
         raise ValueError("overlap must be >= 0")
-    return 1.0 if overlap > SIGNIFICANCE_OVERLAP else overlap / SIGNIFICANCE_OVERLAP
+    return float(_damping(overlap))
+
+
+def _damping(overlap):
+    return np.minimum(overlap, SIGNIFICANCE_OVERLAP) / SIGNIFICANCE_OVERLAP
 
 
 def pearson(a: UserId, u: UserId, matrix: RatingMatrix) -> tuple[float, int]:
@@ -105,24 +110,24 @@ def _check_target(weights: WeightVector, target: ItemId) -> None:
 def _pair_correlation(
     a: UserId, u: UserId, matrix: RatingMatrix, weights: WeightVector | None
 ) -> tuple[float, int]:
-    """(raw, overlap) of one pair: its co-rated items, ascending, form one group."""
-    aix = matrix._user_index(a)
-    uix = matrix._user_index(u)
-    items_a, vals_a = matrix._user_row(aix)
-    items_u, vals_u = matrix._user_row(uix)
-    common, ia, iu = np.intersect1d(
-        items_a, items_u, assume_unique=True, return_indices=True
-    )
-    x = vals_a[ia] - matrix._umeans[aix]
-    y = vals_u[iu] - matrix._umeans[uix]
+    """(raw, overlap) of one pair: the entries of a's gather rated by u form one group."""
+    aix, uix = matrix._user_index(a), matrix._user_index(u)
+    g = _gather(matrix, aix)
+    pair = g.users == uix
     w = None
     if weights is not None:
-        items = matrix.items
-        w = np.fromiter(
-            (weights[items[j]] for j in common), dtype=np.float64, count=common.size
-        )
-    raw, _, _, overlap = _correlate(np.zeros(common.size, dtype=np.intp), 1, x, y, w)
+        w = _weight_row(weights, matrix, g.items[g.itempos[pair]])
+    group = np.zeros(np.count_nonzero(pair), dtype=np.intp)
+    raw, _, _, overlap = _correlate(group, 1, g.dev_a[pair], g.dev_u[pair], w)
     return float(raw[0]), int(overlap[0])
+
+
+def _weight_row(weights: WeightVector, matrix: RatingMatrix, item_ix: np.ndarray) -> np.ndarray:
+    """The weight of each item index in ``item_ix``."""
+    items = matrix.items
+    return np.fromiter(
+        (weights[items[j]] for j in item_ix.tolist()), dtype=np.float64, count=item_ix.size
+    )
 
 
 def _correlate(
@@ -150,7 +155,7 @@ def _correlate(
     mask = denom > 0
     raw[mask] = num[mask] / np.sqrt(denom[mask])
     np.clip(raw, -1.0, 1.0, out=raw)
-    cf = np.minimum(overlap, SIGNIFICANCE_OVERLAP) / SIGNIFICANCE_OVERLAP
+    cf = _damping(overlap)
     value = raw * cf
     return raw, cf, value, overlap
 
@@ -158,48 +163,41 @@ def _correlate(
 # -- one active user's row against every rater --------------------------------
 
 
-class _Gather:
-    """Flat arrays covering every (item of a, rater, rating) triple."""
+class _Gather(NamedTuple):
+    """Every (item of a, rater of that item) entry, in a's item order, then rater order."""
 
-    __slots__ = ("uix", "item_ids", "itempos", "users", "dev_rep", "dev_u", "pc")
-
-    def __init__(self, matrix: RatingMatrix, uix: int):
-        items_a, vals_a = matrix._user_row(uix)
-        dev_a = vals_a - matrix._umeans[uix]
-        starts = matrix._iptr[items_a]
-        counts = matrix._iptr[items_a + 1] - starts
-        total = int(counts.sum())
-        first = np.cumsum(counts) - counts
-        pos = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(first, counts)
-            + np.repeat(starts, counts)
-        )
-        self.uix = uix
-        self.item_ids = tuple(matrix.items[j] for j in items_a)
-        self.itempos = np.repeat(np.arange(items_a.size), counts)
-        self.users = matrix._iusers[pos]
-        self.dev_u = matrix._ivals[pos] - matrix._umeans[self.users]
-        self.dev_rep = dev_a[self.itempos]
-        self.pc: tuple[np.ndarray, ...] | None = None
+    items: np.ndarray  # a's item indices, ascending
+    itempos: np.ndarray  # each entry's position in ``items``
+    users: np.ndarray  # each entry's rater
+    dev_a: np.ndarray  # a's deviation on the entry's item
+    dev_u: np.ndarray  # the rater's deviation on it
 
 
-# Evaluation visits each user's held-out ratings contiguously, so the last
-# gather per matrix is the only one that is ever asked for again.
-_gather_lock = threading.Lock()
-_last_gather: "weakref.WeakKeyDictionary[RatingMatrix, _Gather]" = (
-    weakref.WeakKeyDictionary()
-)
+def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
-def _gather_for(matrix: RatingMatrix, uix: int) -> _Gather:
-    with _gather_lock:
-        g = _last_gather.get(matrix)
-    if g is None or g.uix != uix:
-        g = _Gather(matrix, uix)
-        with _gather_lock:
-            _last_gather[matrix] = g
-    return g
+@functools.lru_cache(maxsize=1)
+def _gather(matrix: RatingMatrix, uix: int) -> _Gather:
+    items_a, vals_a = matrix._user_row(uix)
+    starts = matrix._iptr[items_a]
+    counts = matrix._iptr[items_a + 1] - starts
+    first = np.cumsum(counts) - counts  # gather index of each item's first rater
+    pos = np.arange(counts.sum()) - np.repeat(first - starts, counts)
+    itempos = np.repeat(np.arange(items_a.size), counts)
+    users = matrix._iusers[pos]
+    dev_a = (vals_a - matrix._umeans[uix])[itempos]
+    dev_u = matrix._ivals[pos] - matrix._umeans[users]
+    return _Gather(*_frozen((items_a, itempos, users, dev_a, dev_u)))
+
+
+@functools.lru_cache(maxsize=1)
+def _plain_scores(matrix: RatingMatrix, uix: int) -> tuple[np.ndarray, ...]:
+    """Unweighted (raw, cf, value, overlap) of user ``uix`` against every user."""
+    g = _gather(matrix, uix)
+    return _frozen(_correlate(g.users, len(matrix.users), g.dev_a, g.dev_u))
 
 
 def rank_candidates(
@@ -220,19 +218,14 @@ def rank_candidates(
     if cand.size == 0:
         return []
 
-    g = _gather_for(matrix, aix)
-    n_users = len(matrix.users)
     if weights is None:
-        if g.pc is None:
-            g.pc = _correlate(g.users, n_users, g.dev_rep, g.dev_u)
-        raw, cf, value, overlap = g.pc
+        raw, cf, value, overlap = _plain_scores(matrix, aix)
     else:
         _check_target(weights, target)
-        w = np.fromiter(
-            (weights[iid] for iid in g.item_ids), dtype=np.float64, count=len(g.item_ids)
-        )
+        g = _gather(matrix, aix)
+        w = _weight_row(weights, matrix, g.items)
         raw, cf, value, overlap = _correlate(
-            g.users, n_users, g.dev_rep, g.dev_u, w[g.itempos]
+            g.users, len(matrix.users), g.dev_a, g.dev_u, w[g.itempos]
         )
 
     keep = overlap[cand] > 0

@@ -124,9 +124,6 @@ class FeatureVector:
         if any(c not in (0, 1) for c in self.components):
             raise ValueError("components must be 0 or 1")
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.components, dtype=np.float64)
-
 
 class RatingMatrix:
     """Immutable sparse user x item store with per-user means and rater lists.

@@ -20,6 +20,7 @@ import io
 import logging
 import math
 import multiprocessing
+import numbers
 import os
 import sys
 import zlib
@@ -161,7 +162,10 @@ class RunConfig:
         if len(set(k_values)) != len(k_values):
             raise ValueError(f"k_values must not repeat a value, got {k_values!r}")
         object.__setattr__(self, "k_values", k_values)
-        if self.min_sim is not None and not math.isfinite(self.min_sim):
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        real = isinstance(self.min_sim, numbers.Real) and not isinstance(self.min_sim, bool)
+        if self.min_sim is not None and not (real and math.isfinite(self.min_sim)):
             raise ValueError(f"min_sim must be a finite number, got {self.min_sim!r}")
         for name in ("sample_test", "workers"):
             value = getattr(self, name)

@@ -348,8 +348,9 @@ def _title_candidates(title: str) -> list[str]:
 def _read_records(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
-    A line that is not a JSON object, or an object without one of the
-    ``required`` fields, raises ValueError naming the file and line.
+    A line that is not a JSON object, lacks a ``required`` field, or has a
+    feature list that is not an array of strings raises ValueError naming
+    the file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -365,6 +366,10 @@ def _read_records(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]
             missing = [f for f in required if f not in record]
             if missing:
                 raise ValueError(f"{path}: line {lineno}: record lacks {', '.join(missing)}")
+            for field in ("genres", "directors", "actors"):
+                labels = record.get(field, [])
+                if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+                    raise ValueError(f"{path}: line {lineno}: {field} is not an array of strings")
             yield lineno, record
 
 

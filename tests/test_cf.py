@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from contentcf import cf
 from contentcf.cf import (
     NeighborSet,
     SimilarityScore,
@@ -238,6 +242,62 @@ class TestPredict:
         p_abs = predict(1, 2, ns, m, denominator="abs")
         p_signed = predict(1, 2, ns, m, denominator="signed")
         assert p_abs.value != p_signed.value
+
+
+class TestGatherMemo:
+    """Each call gives what it gives as the first call after a cold memo,
+    whatever matrix, user, target and method the calls before it used."""
+
+    @staticmethod
+    def _matrix(seed):
+        rng = np.random.default_rng(seed)
+        triples = [
+            (u, int(i), int(rng.integers(1, 6)))
+            for u in range(1, 7)
+            for i in rng.choice(10, size=7, replace=False)
+        ]
+        return build_matrix(as_ratings(triples))
+
+    def _calls(self):
+        # Two matrices with the same user ids, hence the same user indices.
+        matrices = [self._matrix(1), self._matrix(2)]
+        calls = []
+        for mi, m in enumerate(matrices):
+            for a in (1, 2):
+                for target in (m.items[0], m.items[-1]):
+                    wv = WeightVector(
+                        target_id=target,
+                        weights={i: 0.25 + 0.1 * ((i + target) % 7) for i in m.items},
+                        max_feature_count=10,
+                    )
+                    key = (mi, a, target)
+                    calls += [
+                        (key + ("pc",), partial(rank_candidates, a, target, m)),
+                        (key + ("wpc",), partial(rank_candidates, a, target, m, weights=wv)),
+                        (key + ("pearson",), partial(pearson, a, 3, m)),
+                        (key + ("weighted_pearson",), partial(weighted_pearson, a, 3, target, m, wv)),
+                    ]
+        return calls
+
+    @staticmethod
+    def _cold(fn):
+        cf._gather.cache_clear()
+        cf._plain_scores.cache_clear()
+        return fn()
+
+    def test_interleaved_calls_match_cold_calls(self):
+        calls = self._calls()
+        expected = {key: self._cold(fn) for key, fn in calls}
+        # Without teeth if the two matrices agreed on the same user index.
+        assert expected[(0, 1, 0, "pc")] != expected[(1, 1, 0, "pc")]
+        orders = [calls, calls[::-1]]
+        for seed in range(3):
+            shuffled = list(calls)
+            random.Random(seed).shuffle(shuffled)
+            orders.append(shuffled)
+        for order in orders:
+            for key, fn in order:
+                assert fn() == expected[key], key
 
 
 # -- vectorized path vs scalar path vs independent oracle -----------------------

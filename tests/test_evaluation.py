@@ -435,6 +435,12 @@ class TestRunConfig:
             {"sample_test": 2.5},
             {"sample_test": True},
             {"workers": 1.5},
+            {"seed": True},
+            {"seed": None},
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"min_sim": True},
+            {"min_sim": "0.5"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -442,7 +448,13 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_numpy_integers_accepted(self):
-        cfg = RunConfig(k_values=(np.int64(5), 7), sample_test=np.int32(3), workers=np.int64(2))
+        cfg = RunConfig(
+            k_values=(np.int64(5), 7),
+            seed=np.uint32(7),
+            sample_test=np.int32(3),
+            workers=np.int64(2),
+            min_sim=np.float32(0.25),
+        )
         assert cfg.k_values == (5, 7)
         assert all(type(k) is int for k in cfg.k_values)
 

@@ -444,6 +444,16 @@ class TestJsonLinesRecords:
         with pytest.raises(ValueError, match=f"{path.name}: line 2: {message}"):
             load(path)
 
+    @pytest.mark.parametrize("field", ["genres", "directors", "actors"])
+    @pytest.mark.parametrize("value", ["Drama", 5, None, ["A", 5]])
+    def test_feature_field_must_be_array_of_strings(self, tmp_path, loader, field, value):
+        _, record, _ = LOADERS[loader]
+        load, path = self._write(tmp_path, loader, json.dumps({**record, field: value}))
+        with pytest.raises(
+            ValueError, match=f"{path.name}: line 2: {field} is not an array of strings"
+        ):
+            load(path)
+
     def test_missing_required_field_rejected_with_its_number(self, tmp_path, loader):
         _, record, required = LOADERS[loader]
         load, path = self._write(
