@@ -11,11 +11,23 @@ deviations. Ranking groups the gather by rater; ``pearson`` and
 ``weighted_pearson`` take the entries rated by the other user as one group.
 The gather and its unweighted scores are memoised, read-only, for the last
 (matrix, user) asked for, which keeps that matrix alive until the next.
+
+``rank_candidates`` returns a ``Ranking``: read-only arrays over the
+candidates, best first, with each candidate's deviation ``r_ut - mean_u``
+read from the target's item column. It takes the prediction's running sums
+once (``_prefix_sums``), so ``predict`` over the first n neighbours, for any
+n, is one read at column n; ``[:k]`` is a view that shares them. A neighbour
+list from anywhere else has its deviations looked up and goes through the
+same sums. Each running sum starts from an exact +0.0 and ``np.cumsum``
+adds in sequence, so column n has the bits of the left-to-right loop
+``s = 0.0; s += term`` over the first n terms.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, get_args
 
@@ -44,11 +56,14 @@ class SimilarityScore:
 
 @dataclass(frozen=True)
 class NeighborSet:
-    """Top-k raters of the target item, sorted by damped similarity descending."""
+    """Top-k raters of the target item, sorted by damped similarity descending.
+
+    ``neighbors`` is a tuple of scores or a slice of a ``Ranking``.
+    """
 
     target_item: ItemId
     active_user: UserId
-    neighbors: tuple[SimilarityScore, ...]
+    neighbors: Sequence[SimilarityScore]
 
     def __len__(self) -> int:
         return len(self.neighbors)
@@ -200,23 +215,113 @@ def _plain_scores(matrix: RatingMatrix, uix: int) -> tuple[np.ndarray, ...]:
     return _frozen(_correlate(g.users, len(matrix.users), g.dev_a, g.dev_u))
 
 
+# -- the ranking and its running sums ------------------------------------------
+
+
+class _Candidates(NamedTuple):
+    """One array per ranked candidate field, best candidate first."""
+
+    users: np.ndarray  # user index
+    raw: np.ndarray
+    cf: np.ndarray
+    value: np.ndarray
+    overlap: np.ndarray
+    dev: np.ndarray  # the candidate's rating of the target minus its mean
+
+
+def _prefix_sums(dev: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Rows: running sums of dev*value, |value| and value; column n covers
+    the first n neighbours and column 0 is an exact +0.0."""
+    terms = np.zeros((3, value.size + 1))
+    terms[0, 1:] = dev * value
+    terms[1, 1:] = np.abs(value)
+    terms[2, 1:] = value
+    return np.cumsum(terms, axis=1)
+
+
+class Ranking(Sequence):
+    """A target's scored candidates, best first, as read-only arrays.
+
+    Indexing builds a ``SimilarityScore``; a ``[:k]`` slice is a view sharing
+    the arrays and the running sums, any other slice a new ranking. A ranking
+    compares equal to a list or tuple of the same scores and is not hashable.
+    """
+
+    __slots__ = ("_matrix", "_active", "_target", "_cols", "_sums", "_n")
+
+    def __init__(
+        self, matrix: RatingMatrix | None, active: UserId, target: ItemId, cols: _Candidates
+    ):
+        self._matrix, self._active, self._target = matrix, active, target
+        self._cols = _frozen(cols)
+        self._sums = _prefix_sums(cols.dev, cols.value)
+        self._sums.flags.writeable = False
+        self._n = cols.value.size
+
+    def _head(self, n: int) -> Ranking:
+        view = object.__new__(Ranking)
+        view._matrix, view._active, view._target = self._matrix, self._active, self._target
+        view._cols, view._sums, view._n = self._cols, self._sums, n
+        return view
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._n)
+            if start == 0 and step == 1:
+                return self._head(stop)
+            picked = np.arange(start, stop, step)
+            cols = _Candidates(*(col[picked] for col in self._cols))
+            return Ranking(self._matrix, self._active, self._target, cols)
+        i = operator.index(index)
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("ranking index out of range")
+        c = self._cols
+        return SimilarityScore(
+            user_id=self._matrix.users[c.users[i]],
+            raw=float(c.raw[i]),
+            cf=float(c.cf[i]),
+            value=float(c.value[i]),
+            overlap=int(c.overlap[i]),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, (Ranking, list, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"Ranking({list(self)!r})"
+
+    def _drawn_for(self, matrix: RatingMatrix, a: UserId, target: ItemId) -> bool:
+        return self._matrix is matrix and self._active == a and self._target == target
+
+
+# What every "no candidates" outcome returns.
+EMPTY_RANKING = Ranking(None, None, None, _Candidates(*np.empty((len(_Candidates._fields), 0))))
+
+
 def rank_candidates(
     a: UserId,
     target: ItemId,
     matrix: RatingMatrix,
     weights: WeightVector | None = None,
     min_sim: float | None = None,
-) -> list[SimilarityScore]:
+) -> Ranking:
     """All raters of the target (minus the active user, minus zero-overlap
     candidates), sorted by damped similarity descending, ties by user id."""
     aix = matrix._user_index(a)
     if not matrix.has_item(target):
-        return []
-    tix = matrix._item_index(target)
-    cand = matrix._item_col(tix)[0]
-    cand = cand[cand != aix]
+        return EMPTY_RANKING
+    cand, r_ut = matrix._item_col(matrix._item_index(target))
+    others = cand != aix
+    cand, r_ut = cand[others], r_ut[others]
     if cand.size == 0:
-        return []
+        return EMPTY_RANKING
 
     if weights is None:
         raw, cf, value, overlap = _plain_scores(matrix, aix)
@@ -231,22 +336,14 @@ def rank_candidates(
     keep = overlap[cand] > 0
     if min_sim is not None:
         keep &= value[cand] >= min_sim
-    cand = cand[keep]
+    cand, r_ut = cand[keep], r_ut[keep]
     if cand.size == 0:
-        return []
+        return EMPTY_RANKING
     order = np.lexsort((cand, -value[cand]))
-    cand = cand[order]
-    users = matrix.users
-    return [
-        SimilarityScore(
-            user_id=users[c],
-            raw=float(raw[c]),
-            cf=float(cf[c]),
-            value=float(value[c]),
-            overlap=int(overlap[c]),
-        )
-        for c in cand
-    ]
+    cand, r_ut = cand[order], r_ut[order]
+    dev = r_ut - matrix._umeans[cand]
+    cols = _Candidates(cand, raw[cand], cf[cand], value[cand], overlap[cand], dev)
+    return Ranking(matrix, a, target, cols)
 
 
 def select_neighbors(
@@ -261,7 +358,7 @@ def select_neighbors(
     if k < 1:
         raise ValueError("k must be >= 1")
     ranked = rank_candidates(a, target, matrix, weights=weights, min_sim=min_sim)
-    return NeighborSet(target_item=target, active_user=a, neighbors=tuple(ranked[:k]))
+    return NeighborSet(target_item=target, active_user=a, neighbors=ranked[:k])
 
 
 def predict(
@@ -283,22 +380,34 @@ def predict(
         raise KeyError(f"active user {a!r} has no training ratings")
     mean_a = matrix.mean_of(a)
 
-    num = 0.0
-    den = 0.0
-    for s in neighbors.neighbors:
-        r_ut = matrix.rating(s.user_id, target)
-        if r_ut is None:
-            raise ValueError(
-                f"neighbor {s.user_id!r} has no training rating for item {target!r}"
-            )
-        num += (r_ut - matrix.mean_of(s.user_id)) * s.value
-        den += abs(s.value) if denominator == "abs" else s.value
+    n = len(neighbors)
+    sums = _running_sums(neighbors.neighbors, a, target, matrix)
+    num, abs_mass, signed_mass = sums[:, n].tolist()
+    den = abs_mass if denominator == "abs" else signed_mass
+    # No neighbours leaves den at 0.0.
+    if abs(den) < _DEN_EPS:
+        return Prediction(value=_clamp(mean_a), fallback=True, n_neighbors=n)
+    return Prediction(value=_clamp(mean_a + num / den), fallback=False, n_neighbors=n)
 
-    if not neighbors.neighbors or abs(den) < _DEN_EPS:
-        return Prediction(value=_clamp(mean_a), fallback=True, n_neighbors=len(neighbors))
-    return Prediction(
-        value=_clamp(mean_a + num / den), fallback=False, n_neighbors=len(neighbors)
-    )
+
+def _running_sums(
+    scores: Sequence[SimilarityScore], a: UserId, target: ItemId, matrix: RatingMatrix
+) -> np.ndarray:
+    """The ranking's own sums when it was drawn for (matrix, a, target); else
+    the sums over the scores, each neighbour's rating of the target looked up."""
+    if isinstance(scores, Ranking) and scores._drawn_for(matrix, a, target):
+        return scores._sums
+    n = len(scores)
+    dev = np.fromiter((_deviation(s.user_id, target, matrix) for s in scores), float, n)
+    value = np.fromiter((s.value for s in scores), float, n)
+    return _prefix_sums(dev, value)
+
+
+def _deviation(u: UserId, target: ItemId, matrix: RatingMatrix) -> float:
+    r_ut = matrix.rating(u, target)
+    if r_ut is None:
+        raise ValueError(f"neighbor {u!r} has no training rating for item {target!r}")
+    return r_ut - matrix.mean_of(u)
 
 
 def _clamp(x: float) -> float:

@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args, config)
     except SystemExit:
         raise
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
         logger.error("%s", exc)
         return 1
 

@@ -31,7 +31,7 @@ from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
-from .cf import Denominator, NeighborSet, predict, rank_candidates
+from .cf import EMPTY_RANKING, Denominator, NeighborSet, predict, rank_candidates
 from .data import ItemId, Rating, RatingMatrix, UserId, build_matrix, check_choice
 from .weighting import K0Branch, WeightCalculator
 
@@ -233,7 +233,7 @@ def _eval_ratings(
             user_items = list(matrix.ratings_of(user_id).keys())
 
         if not matrix.has_item(item_id):
-            ranked = []
+            ranked = EMPTY_RANKING
         elif config.method == "wpc":
             weights = calculator.weights_for(item_id, user_items)
             ranked = rank_candidates(
@@ -244,9 +244,7 @@ def _eval_ratings(
 
         predicted[row] = True
         for ki, k in enumerate(config.k_values):
-            ns = NeighborSet(
-                target_item=item_id, active_user=user_id, neighbors=tuple(ranked[:k])
-            )
+            ns = NeighborSet(target_item=item_id, active_user=user_id, neighbors=ranked[:k])
             p = predict(user_id, item_id, ns, matrix, denominator=config.denominator)
             errors[ki, row] = abs(actual - p.value)
             fallbacks[ki, row] = p.fallback

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from contentcf import cf
 from contentcf.cf import (
+    EMPTY_RANKING,
     NeighborSet,
     SimilarityScore,
     pearson,
@@ -21,7 +23,7 @@ from contentcf.cf import (
     significance_factor,
     weighted_pearson,
 )
-from contentcf.data import build_matrix
+from contentcf.data import RatingMatrix, build_matrix
 from contentcf.weighting import WeightVector
 from conftest import as_ratings, rating_triples
 from oracle import by_user, naive_pearson, naive_rank
@@ -355,3 +357,167 @@ def test_scalar_weighted_pearson_matches_vectorized(triples, data):
             if s.user_id == u:
                 assert s.raw == raw
                 assert s.overlap == overlap
+
+
+# -- the array-backed ranking ---------------------------------------------------
+
+
+class TestRanking:
+    """``rank_candidates`` returns a read-only sequence of ``SimilarityScore``s."""
+
+    @pytest.fixture
+    def triples(self):
+        rng = np.random.default_rng(7)
+        triples = [(u, 0, int(rng.integers(1, 6))) for u in range(1, 9)]
+        return triples + [
+            (u, int(i), int(rng.integers(1, 6)))
+            for u in range(1, 9)
+            for i in rng.choice(np.arange(1, 10), size=5, replace=False)
+        ]
+
+    @pytest.fixture
+    def matrix(self, triples):
+        return build_matrix(as_ratings(triples))
+
+    @pytest.fixture
+    def ranked(self, matrix):
+        ranked = rank_candidates(1, 0, matrix)
+        assert len(ranked) == 7
+        return ranked
+
+    def test_len_and_iteration(self, triples, ranked):
+        scores = list(ranked)
+        assert len(scores) == len(ranked) == 7
+        assert all(isinstance(s, SimilarityScore) for s in scores)
+        assert scores == [ranked[i] for i in range(7)]
+        expected = naive_rank(by_user(triples), 1, 0)
+        assert [s.user_id for s in scores] == [e[0] for e in expected]
+
+    def test_positive_and_negative_index(self, ranked):
+        scores = list(ranked)
+        assert ranked[2] == scores[2]
+        assert ranked[-1] == scores[-1]
+        assert ranked[-7] == scores[0]
+        for i in (7, -8, 100):
+            with pytest.raises(IndexError):
+                ranked[i]
+
+    def test_head_past_the_end(self, ranked):
+        head = ranked[:50]
+        assert len(head) == 7
+        assert head == ranked
+        assert ranked[:3] == list(ranked)[:3]
+        assert ranked[:3]._sums is ranked._sums
+
+    @pytest.mark.parametrize(
+        "window",
+        [slice(2, 5), slice(1, None), slice(None, None, 2), slice(None, None, -1),
+         slice(5, 1, -2), slice(4, 2), slice(-3, None)],
+    )
+    def test_other_slices(self, matrix, ranked, window):
+        part = ranked[window]
+        assert part == list(ranked)[window]
+        assert len(part) == len(list(ranked)[window])
+        for denominator in ("abs", "signed"):
+            got = predict(1, 0, NeighborSet(0, 1, part), matrix, denominator)
+            assert got == predict(1, 0, NeighborSet(0, 1, tuple(part)), matrix, denominator)
+
+    def test_equality(self, matrix, ranked):
+        scores = list(ranked)
+        assert ranked == scores and scores == ranked
+        assert ranked == tuple(scores) and tuple(scores) == ranked
+        assert ranked == rank_candidates(1, 0, matrix)
+        assert ranked != scores[:-1]
+        assert ranked != scores[::-1]
+        assert ranked != "not a ranking"
+        assert ranked[:0] == () and ranked[:0] == []
+        assert EMPTY_RANKING == ()
+        assert rank_candidates(1, 999, matrix) == ()
+
+    def test_not_hashable(self, ranked):
+        with pytest.raises(TypeError):
+            hash(ranked)
+        with pytest.raises(TypeError):
+            hash(ranked[:2])
+
+    @pytest.mark.parametrize("window", [slice(None), slice(None, 3), slice(None, None, 2)])
+    def test_arrays_read_only(self, ranked, window):
+        part = ranked[window]
+        for arr in (*part._cols, part._sums):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            part._cols.value[0] = 0.0
+        with pytest.raises(ValueError):
+            part._sums[0, 1] = 0.0
+
+
+def _outcome(fn):
+    """The call's result, or the message of the ValueError it raised."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rating_triples(max_users=7, max_items=6, min_ratings=2),
+    st.sampled_from(["abs", "signed"]),
+    st.none() | st.floats(-1.0, 1.0),
+    st.data(),
+)
+def test_ranking_and_lookup_predictions_agree(triples, denominator, min_sim, data):
+    """A ranking's own running sums give the bits of the per-neighbour lookups,
+    and a ranking handed over with another matrix or target is looked up."""
+    m = build_matrix(as_ratings(triples))
+    a = data.draw(st.sampled_from(m.users))
+    target = data.draw(st.sampled_from(m.items))
+    other = data.draw(st.sampled_from(m.items))
+    wv = None
+    if data.draw(st.booleans()):
+        weight = st.floats(0.05, 2.0)
+        wv = WeightVector(target, {i: data.draw(weight) for i in m.items}, max_feature_count=10)
+    ranked = rank_candidates(a, target, m, weights=wv, min_sim=min_sim)
+    rebuilt = build_matrix(as_ratings(triples))  # same ids, another object
+
+    def run(matrix, item, neighbors):
+        ns = NeighborSet(target_item=item, active_user=a, neighbors=neighbors)
+        return _outcome(lambda: predict(a, item, ns, matrix, denominator=denominator))
+
+    for k in range(1, len(ranked) + 2):
+        head = ranked[:k]
+        n = len(head)
+        missing = [s.user_id for s in head if m.rating(s.user_id, other) is None]
+        dropped = None
+        if n:
+            gone = (head[-1].user_id, target)
+            dropped = build_matrix(as_ratings([t for t in triples if t[:2] != gone]))
+        with mock.patch.object(
+            RatingMatrix, "rating", autospec=True, side_effect=RatingMatrix.rating
+        ) as lookups:
+            fast = run(m, target, head)
+            assert lookups.call_count == 0
+            assert fast == run(m, target, tuple(head))
+            assert isinstance(fast, cf.Prediction) and fast.n_neighbors == n
+
+            lookups.reset_mock()
+            assert run(rebuilt, target, head) == fast
+            assert lookups.call_count == n
+
+            lookups.reset_mock()
+            moved = run(m, other, head)
+            assert (lookups.call_count > 0) == (other != target and n > 0)
+            assert moved == run(m, other, tuple(head))
+            if missing:
+                assert moved == (
+                    f"ValueError: neighbor {missing[0]!r} has no training rating "
+                    f"for item {other!r}"
+                )
+
+            if dropped is not None:
+                expected = (
+                    f"ValueError: neighbor {head[-1].user_id!r} has no training rating "
+                    f"for item {target!r}"
+                )
+                assert run(dropped, target, head) == expected
+                assert run(dropped, target, tuple(head)) == expected

@@ -169,6 +169,18 @@ class TestPredictCommand:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "command", [["evaluate", "--workers", "1"], ["predict", "--user", "1", "--item", "2"]]
+    )
+    @pytest.mark.parametrize("line", ["k=5,x", "k="])
+    def test_config_file_bad_k_list_rejected(self, dataset, command, line, caplog):
+        # The k list from a config file is parsed outside argparse.
+        cfg = dataset / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(command[:1] + ["--data-dir", str(dataset), "--config", str(cfg)] + command[1:])
+        assert rc == 1
+        assert "bad k list" in caplog.text
+
     def test_unknown_user_exits_nonzero(self, dataset):
         with pytest.raises(SystemExit, match="user"):
             main(["predict", "--data-dir", str(dataset), "--user", "999", "--item", "1"])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from contentcf import evaluation
 from contentcf.cf import rank_candidates
-from contentcf.data import MovieProfile, build_matrix
+from contentcf.data import MovieProfile, RatingMatrix, build_matrix
 from contentcf.evaluation import (
     ExperimentReport,
     RunConfig,
@@ -252,6 +252,20 @@ class TestRunExperiment:
         reports = run_experiment(rs, cfg, profiles=StoreStub(synthetic_profiles()))
         assert len(reports[0].fold_maes) == 5
         assert len(inits) == 1
+
+    @pytest.mark.parametrize("method", ["pc", "wpc"])
+    def test_no_rating_lookup_on_the_evaluation_path(self, method, monkeypatch):
+        # Each ranking carries its candidates' deviations on the target.
+        rs = as_ratings(synthetic_dataset())
+        profiles = StoreStub(synthetic_profiles())
+        cfg = RunConfig(method=method, k_values=(2, 4, 50), seed=11, workers=1)
+        expected = run_experiment(rs, cfg, profiles=profiles)
+
+        def no_lookup(*args):
+            raise AssertionError("RatingMatrix.rating called")
+
+        monkeypatch.setattr(RatingMatrix, "rating", no_lookup)
+        assert run_experiment(rs, cfg, profiles=profiles) == expected
 
     def test_sample_test_limits_predictions(self):
         rs = as_ratings(synthetic_dataset())
