@@ -24,6 +24,7 @@ from .data import (
     MovieProfile,
     ProfileSource,
     Rating,
+    RatingColumns,
     RatingMatrix,
     build_matrix,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "MovieProfile",
     "ProfileSource",
     "Rating",
+    "RatingColumns",
     "RatingMatrix",
     "build_matrix",
     "NeighborSet",

@@ -1,17 +1,21 @@
 """Core immutable data structures: ratings, the sparse rating matrix, movie profiles.
 
-The rating matrix keeps both a user-major and an item-major view as flat numpy
-arrays so that similarity sweeps over a user's items (and rater lookups for a
-target item) are vectorizable. It is immutable after construction and safe to
-share across worker processes or threads.
+A rating set travels as ``RatingColumns``: one read-only array per field, so
+a million ratings cost four arrays rather than a million objects. The rating
+matrix keeps both a user-major and an item-major view as flat numpy arrays so
+that similarity sweeps over a user's items (and rater lookups for a target
+item) are vectorizable. It is immutable after construction and safe to share
+across worker processes or threads.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -44,6 +48,89 @@ class Rating:
             raise ValueError(
                 f"rating out of range: {self.value} for ({self.user_id}, {self.item_id})"
             )
+
+
+class RatingColumns(Sequence):
+    """Ratings as four read-only arrays: user ids, item ids, values, timestamps.
+
+    Parsed files give int64 columns; the columns of arbitrary ``Rating``
+    objects (``from_ratings``) keep ids and timestamps as Python objects.
+    Indexing builds a ``Rating``, a slice is a view of the same arrays, and
+    the columns compare equal to a list or tuple of the same ratings. Not
+    hashable.
+    """
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, user_ids, item_ids, values, timestamps):
+        cols = tuple(np.asarray(c).view() for c in (user_ids, item_ids, values, timestamps))
+        if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+            raise ValueError("rating columns must be 1-d and of one length")
+        values = cols[2]
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"rating values must be integers, got dtype {values.dtype}")
+        bad = np.flatnonzero((values < RATING_MIN) | (values > RATING_MAX))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"rating out of range: {values[i]} for ({cols[0][i]}, {cols[1][i]})"
+            )
+        for c in cols:
+            c.flags.writeable = False
+        self._cols = cols
+
+    @classmethod
+    def from_ratings(cls, ratings: Iterable[Rating]) -> RatingColumns:
+        """The columns of ``Rating`` objects, in order."""
+        rows = [(r.user_id, r.item_id, r.value, r.timestamp) for r in ratings]
+        cols = [np.empty(len(rows), dtype=object) for _ in range(4)]
+        for col, field in zip(cols, zip(*rows)):
+            col[:] = field
+        cols[2] = cols[2].astype(np.int64)
+        return cls(*cols)
+
+    @property
+    def user_ids(self) -> np.ndarray:
+        return self._cols[0]
+
+    @property
+    def item_ids(self) -> np.ndarray:
+        return self._cols[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._cols[2]
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        return self._cols[3]
+
+    def __len__(self) -> int:
+        return self._cols[0].size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = object.__new__(RatingColumns)
+            view._cols = tuple(c[index] for c in self._cols)
+            return view
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("rating index out of range")
+        return Rating(*(c.item(i) for c in self._cols))
+
+    def __iter__(self):
+        for fields in zip(*(c.tolist() for c in self._cols)):
+            yield Rating(*fields)
+
+    def __eq__(self, other):
+        if not isinstance(other, (RatingColumns, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"RatingColumns(<{len(self)} ratings>)"
 
 
 class ProfileSource(str, enum.Enum):
@@ -128,23 +215,24 @@ class FeatureVector:
 class RatingMatrix:
     """Immutable sparse user x item store with per-user means and rater lists.
 
-    Construction canonicalizes the input by sorting on (user, item), so the
-    same rating set yields bit-identical means regardless of input order.
+    Construction encodes ``RatingColumns`` (any other iterable of ratings is
+    turned into columns first) and canonicalizes them by sorting on (user,
+    item), so the same rating set yields bit-identical means regardless of
+    input order.
     """
 
-    def __init__(self, ratings: Sequence[Rating]):
+    def __init__(self, ratings: Iterable[Rating]):
+        if not isinstance(ratings, RatingColumns):
+            ratings = RatingColumns.from_ratings(ratings)
         if not ratings:
             raise ValueError("cannot build a rating matrix from an empty rating set")
-        users = tuple(sorted({r.user_id for r in ratings}))
-        items = tuple(sorted({r.item_id for r in ratings}))
-        uindex = {u: i for i, u in enumerate(users)}
-        iindex = {m: i for i, m in enumerate(items)}
-        n = len(ratings)
-        u_idx = np.fromiter((uindex[r.user_id] for r in ratings), dtype=np.int64, count=n)
-        i_idx = np.fromiter((iindex[r.item_id] for r in ratings), dtype=np.int64, count=n)
-        vals = np.fromiter((r.value for r in ratings), dtype=np.float64, count=n)
-        order = np.lexsort((i_idx, u_idx))
-        u_idx, i_idx, vals = u_idx[order], i_idx[order], vals[order]
+        users, u_idx = _encode(ratings.user_ids)
+        items, i_idx = _encode(ratings.item_ids)
+        # A stable sort on one (user, item) key gives lexsort's permutation,
+        # and input already grouped by user sorts in near-linear time.
+        order = np.argsort(u_idx * len(items) + i_idx, kind="stable")
+        u_idx, i_idx = u_idx[order], i_idx[order]
+        vals = ratings.values[order].astype(np.float64)
         dup = np.flatnonzero((np.diff(u_idx) == 0) & (np.diff(i_idx) == 0))
         if dup.size:
             pair = (users[u_idx[dup[0]]], items[i_idx[dup[0]]])
@@ -280,6 +368,12 @@ class RatingMatrix:
         return self._iusers[lo:hi], self._ivals[lo:hi]
 
 
+def _encode(ids: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The distinct ids, ascending, as Python objects, and each id's index among them."""
+    distinct, index = np.unique(ids, return_inverse=True)
+    return tuple(distinct.tolist()), index.astype(np.int64, copy=False)
+
+
 def build_matrix(ratings: Iterable[Rating]) -> RatingMatrix:
     """Build an immutable RatingMatrix, rejecting duplicates and empty input."""
-    return RatingMatrix(list(ratings))
+    return RatingMatrix(ratings)

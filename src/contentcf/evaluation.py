@@ -86,7 +86,7 @@ class FoldAssignment:
 
 
 def split_folds(
-    ratings: Sequence[Rating], seed: int, n_folds: int = N_FOLDS
+    ratings: Iterable[Rating], seed: int, n_folds: int = N_FOLDS
 ) -> FoldAssignment:
     """Assign each rating to a fold, stratified per item.
 
@@ -111,7 +111,7 @@ def split_folds(
 
 
 def _split_global(
-    ratings: Sequence[Rating], seed: int, n_folds: int = N_FOLDS
+    ratings: Iterable[Rating], seed: int, n_folds: int = N_FOLDS
 ) -> FoldAssignment:
     """Unstratified alternative: one global shuffle, dealt round-robin."""
     if not 1 <= n_folds <= np.iinfo(np.int8).max:
@@ -264,7 +264,7 @@ def _chunk_bounds(user_rows: np.ndarray, n_chunks: int) -> list[int]:
 
 
 def run_experiment(
-    ratings: Sequence[Rating],
+    ratings: Iterable[Rating],
     config: RunConfig,
     profiles=None,
 ) -> list[ExperimentReport]:

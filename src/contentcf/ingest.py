@@ -14,7 +14,10 @@ import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence
+
+import numpy as np
 
 from .data import (
     MOVIELENS_GENRES,
@@ -22,6 +25,7 @@ from .data import (
     MovieProfile,
     ProfileSource,
     Rating,
+    RatingColumns,
 )
 
 logger = logging.getLogger(__name__)
@@ -72,9 +76,50 @@ class ProfileStore:
 # -- MovieLens file parsing -----------------------------------------------------
 
 
-def parse_ratings(path) -> list[Rating]:
-    """Parse `UserID::MovieID::Rating::Timestamp` lines into Ratings, in file order."""
-    ratings: list[Rating] = []
+# Characters per parse block; each block is extended to the end of its last line.
+_BLOCK_CHARS = 1 << 20
+_INT64 = np.iinfo(np.int64)
+
+
+def parse_ratings(path) -> RatingColumns:
+    """Parse `UserID::MovieID::Rating::Timestamp` lines into columns, in file order.
+
+    The file is read in blocks of whole lines. Each block's fields go through
+    ``int`` into an int64 table, and the field count per line and the 1-5
+    range are checked on arrays. Blank lines are skipped. A file that fails
+    any check is rescanned line by line only to raise the error of its first
+    bad line, as ``path: line N: ...``. Ids and timestamps must fit in 64
+    bits.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
+            tables = [_parse_block(block) for block in blocks]
+        columns = RatingColumns(*np.concatenate([np.empty((4, 0), np.int64), *tables], axis=1))
+    except (ValueError, OverflowError):
+        columns = None
+    if columns is None:
+        _raise_first_error(path)
+    if not columns:
+        raise ValueError(f"{path}: no ratings found")
+    return columns
+
+
+def _parse_block(block: str) -> np.ndarray:
+    """The (4, n) int64 fields of a block's non-blank lines; ValueError if a
+    line does not have 4 fields or a field is not an integer."""
+    lines = list(filter(None, block.split("\n")))
+    seps = np.fromiter(map(str.count, lines, repeat("::")), dtype=np.int64, count=len(lines))
+    if (seps != 3).any():
+        raise ValueError("a line does not have 4 fields")
+    # "::" never spans a line break, so these are the lines' fields in order.
+    fields = "\n".join(lines).replace("::", "\n").split("\n") if lines else []
+    table = np.fromiter(map(int, fields), dtype=np.int64, count=len(fields))
+    return table.reshape(-1, 4).T
+
+
+def _raise_first_error(path) -> NoReturn:
+    """Rescan the file line by line and raise the error of its first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -88,12 +133,12 @@ def parse_ratings(path) -> list[Rating]:
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-integer field in {line!r}") from None
             try:
-                ratings.append(Rating(user_id=user_id, item_id=item_id, value=value, timestamp=ts))
+                Rating(user_id=user_id, item_id=item_id, value=value, timestamp=ts)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    if not ratings:
-        raise ValueError(f"{path}: no ratings found")
-    return ratings
+            if not all(_INT64.min <= f <= _INT64.max for f in (user_id, item_id, ts)):
+                raise ValueError(f"{path}: line {lineno}: field out of 64-bit range in {line!r}")
+    raise RuntimeError(f"{path}: block parse failed, but no line is at fault")
 
 
 def parse_movies(path) -> dict[ItemId, tuple[str, tuple[str, ...]]]:

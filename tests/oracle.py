@@ -4,12 +4,40 @@ Everything here is written naively on plain dicts and lists, sharing no code
 with the package: similarities enumerate co-rated items directly, neighbor
 selection sorts the full candidate list, prediction and MAE follow the
 formulas term by term, and the evaluation protocol is replayed rating by
-rating. Tests compare the package against these.
+rating. Tests compare the package against these. The ratings-file reader
+is the plain line-by-line loop.
 """
 
 from __future__ import annotations
 
 import math
+
+
+def parse_rating_lines(path):
+    """Yield (line number, (user, item, value, timestamp)) per non-blank line of
+    a ``::`` ratings file; raise ValueError naming the first bad line."""
+    found = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("::")
+            if len(parts) != 4:
+                raise ValueError(f"{path}: line {lineno}: expected 4 '::' fields, got {len(parts)}")
+            try:
+                row = tuple(int(p) for p in parts)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-integer field in {line!r}") from None
+            user, item, value, _ts = row
+            if not 1 <= value <= 5:
+                raise ValueError(
+                    f"{path}: line {lineno}: rating out of range: {value} for ({user}, {item})"
+                )
+            found = True
+            yield lineno, row
+    if not found:
+        raise ValueError(f"{path}: no ratings found")
 
 
 def by_user(ratings):

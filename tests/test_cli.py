@@ -61,7 +61,8 @@ class TestEvaluateCommand:
             ]
         )
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 2
         assert rows[1][0] == "pc"
         assert rows[1][1] == "50"
@@ -82,7 +83,8 @@ class TestEvaluateCommand:
             ]
         )
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 6
         assert [r[0] for r in rows[1:]] == ["wpc"] * 5
 
@@ -110,7 +112,8 @@ class TestEvaluateCommand:
         cfg.write_text("method=pc\nk=1,2\nworkers=1\nout=%s\n" % (dataset / "c.csv"))
         rc = main(["evaluate", "--data-dir", str(dataset), "--config", str(cfg), "--k", "3"])
         assert rc == 0
-        rows = list(csv.reader((dataset / "c.csv").open()))
+        with (dataset / "c.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
         # flag --k 3 wins over config k=1,2
         assert [r[1] for r in rows[1:]] == ["3"]
 
@@ -238,6 +241,8 @@ def stub_endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/sparql"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 class TestFetchMetadataCommand:

@@ -487,7 +487,8 @@ class TestEmitReport:
     def test_row_count_and_header(self, tmp_path, capsys):
         path = tmp_path / "report.csv"
         emit_report(_reports(), path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == [
             "method", "k", "fold0", "fold1", "fold2", "fold3", "fold4",
             "mae", "predictions", "fallbacks", "skipped",
@@ -499,14 +500,16 @@ class TestEmitReport:
     def test_single_report(self, tmp_path):
         path = tmp_path / "one.csv"
         emit_report(_reports()[:1], path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 2
 
     def test_four_decimal_formatting(self, tmp_path):
         path = tmp_path / "fmt.csv"
         r = ExperimentReport("pc", 5, (0.123456,) * 5, 0.679312, 10, 0, 0)
         emit_report([r], path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[1][2] == "0.1235"
         assert rows[1][7] == "0.6793"
 

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contentcf.data import MovieProfile, ProfileSource
+from contentcf import ingest
+from contentcf.data import MovieProfile, ProfileSource, RatingColumns
 from contentcf.ingest import (
     FetchError,
     FetchOutcome,
@@ -24,6 +29,7 @@ from contentcf.ingest import (
     save_profiles,
     strip_year,
 )
+from oracle import parse_rating_lines
 
 RATINGS = "1::1193::5::978300760\n1::661::3::978302109\n2::1193::4::978300123\n"
 MOVIES = (
@@ -86,6 +92,163 @@ class TestParseRatings:
         path.write_text("1::x::5::1\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_ratings(path)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+PAST_INT64 = (INT64_MAX + 1, INT64_MIN - 1, 10**25)
+
+
+@st.composite
+def int_field(draw, values):
+    """An integer field as ``int`` accepts it: plain, signed, padded or with underscores."""
+    n = draw(values)
+    text = str(n)
+    form = draw(st.sampled_from(["plain", "plus", "padded", "underscore"]))
+    if form == "plus" and n >= 0:
+        text = "+" + text
+    elif form == "padded":
+        text = f" {text}\t"
+    elif form == "underscore" and len(text.lstrip("-")) > 1:
+        text = text[:-1] + "_" + text[-1]
+    return text
+
+
+
+
+@st.composite
+def ids(draw):
+    """Mostly ordinary ids; one in twenty at or past the int64 bounds."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from((INT64_MIN, INT64_MAX) + PAST_INT64))
+    return draw(st.integers(-5, 10**7))
+
+
+IDS = ids()
+GOOD_LINE = st.tuples(
+    int_field(IDS), int_field(IDS), int_field(st.integers(1, 5)), int_field(IDS)
+).map("::".join)
+ANY_FIELD = st.one_of(
+    int_field(IDS),
+    int_field(st.sampled_from([0, 6, 9, -1])),
+    st.sampled_from(["", "x", "5.0", "1__0", "_1", "0x5", ":", "- 1", "\u0663", "\u00a05"]),
+)
+ANY_LINE = st.one_of(
+    st.lists(ANY_FIELD, min_size=3, max_size=5).map("::".join),
+    st.tuples(
+        int_field(IDS), int_field(IDS), int_field(st.sampled_from([0, 6, 9])), int_field(IDS)
+    ).map("::".join),
+    st.sampled_from(["::::", ":::", " ", "1::2::3::4:", ":1::2::3::4"]),
+)
+
+
+@st.composite
+def ratings_text(draw):
+    """A ratings file: good and blank lines, some bad lines, any line ending."""
+    lines = draw(st.lists(st.one_of(GOOD_LINE, st.just("")), max_size=25))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(ANY_LINE))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    return text
+
+
+def oracle_outcome(path):
+    """The oracle's rows, or the message of the ValueError the parse must raise.
+
+    A row whose id or timestamp does not fit in 64 bits fails at its line.
+    """
+    rows = []
+    try:
+        for lineno, row in parse_rating_lines(path):
+            if not all(INT64_MIN <= f <= INT64_MAX for f in (row[0], row[1], row[3])):
+                return f"{path}: line {lineno}: field out of 64-bit range in "
+            rows.append(row)
+    except ValueError as exc:
+        return str(exc)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def ratings_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "ratings.dat"
+
+
+class TestParseRatingsColumns:
+    """``parse_ratings`` against the line-by-line oracle, over block sizes down
+    to a few characters, so that blocks end inside and between lines."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=ratings_text(), block_chars=st.sampled_from([1, 7, 64, 1 << 20]))
+    def test_same_rows_or_same_error_as_the_line_loop(self, ratings_file, text, block_chars):
+        ratings_file.write_bytes(text.encode("utf-8"))
+        want = oracle_outcome(ratings_file)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            try:
+                got = parse_ratings(ratings_file)
+            except ValueError as exc:
+                got = exc
+        if isinstance(want, list):
+            assert isinstance(got, RatingColumns), got
+            assert [(r.user_id, r.item_id, r.value, r.timestamp) for r in got] == want
+            arrays = (got.user_ids, got.item_ids, got.values, got.timestamps)
+            assert list(zip(*(a.tolist() for a in arrays))) == want
+            assert all(a.dtype == np.int64 for a in arrays)
+        else:
+            assert type(got) is ValueError
+            if "64-bit" in want:
+                assert str(got).startswith(want)
+            else:
+                assert str(got) == want
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "ratings.dat"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="no ratings found"):
+            parse_ratings(path)
+        path.write_bytes(b"\n\r\n\n")
+        with pytest.raises(ValueError, match="no ratings found"):
+            parse_ratings(path)
+
+    @pytest.mark.parametrize("field", [str(v) for v in PAST_INT64])
+    @pytest.mark.parametrize("column", [0, 1, 3])
+    def test_ids_and_timestamps_past_int64_fail_at_their_line(self, tmp_path, field, column):
+        """The columns are int64: a wider id or timestamp is rejected, not parsed."""
+        fields = ["1", "2", "3", "4"]
+        fields[column] = field
+        path = tmp_path / "ratings.dat"
+        path.write_text("1::1::5::1\n\n" + "::".join(fields) + "\n")
+        with pytest.raises(ValueError, match=r"ratings\.dat: line 3: field out of 64-bit range"):
+            parse_ratings(path)
+
+    def test_int64_bounds_parse(self, tmp_path):
+        path = tmp_path / "ratings.dat"
+        path.write_text(f"{INT64_MIN}::{INT64_MAX}::1::{INT64_MAX}\n")
+        (r,) = parse_ratings(path)
+        assert (r.user_id, r.item_id, r.timestamp) == (INT64_MIN, INT64_MAX, INT64_MAX)
+
+    def test_first_bad_line_of_a_later_block(self, tmp_path):
+        path = tmp_path / "ratings.dat"
+        good = "".join(f"{u}::{u + 1}::3::{u}\r\n" for u in range(1, 40))
+        path.write_bytes((good + "40::41::7::0\r\n" + good + "x\r\n").encode())
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 50):
+            with pytest.raises(ValueError, match=r"line 40: rating out of range: 7 for \(40, 41\)$"):
+                parse_ratings(path)
+
+    def test_field_counts_are_checked_per_line(self, tmp_path):
+        """A 3-field and a 5-field line hold 8 valid fields between them."""
+        path = tmp_path / "ratings.dat"
+        path.write_text("1::1::1::1\n1::1::1\n1::1::1::1::1\n")
+        with pytest.raises(ValueError, match="line 2: expected 4 '::' fields, got 3$"):
+            parse_ratings(path)
+
+    def test_error_is_not_chained_to_the_block_parse(self, tmp_path):
+        path = tmp_path / "ratings.dat"
+        path.write_text("1::2::3\n")
+        with pytest.raises(ValueError) as info:
+            parse_ratings(path)
+        assert info.value.__context__ is None
 
 
 class TestParseMovies:
