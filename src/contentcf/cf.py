@@ -5,12 +5,18 @@ from each user's global mean, optionally weight-scaled per item by content
 weights, and damped by a significance factor when the co-rated overlap is
 small. Neighbors are drawn only from users who rated the target item.
 
-One kernel, ``_correlate``, sums co-rated deviations per group for every
-caller, over one gather: the active user's (item, rater) entries with both
-deviations. Ranking groups the gather by rater; ``pearson`` and
-``weighted_pearson`` take the entries rated by the other user as one group.
-The gather and its unweighted scores are memoised, read-only, for the last
-(matrix, user) asked for, which keeps that matrix alive until the next.
+One kernel, ``_correlate``, sums co-rated deviations per rater for every
+caller. Its entries come from one gather per active user, the column scan
+of the user's items, which does not depend on the target: each (item,
+rater) entry's item position, its position in the matrix's item-major
+columns and its rater. ``_sweep`` computes the deviations, and the content
+weights, only for the entries a caller keeps: every entry for the
+unweighted scores, the entries of the target's raters for a weighted
+ranking, the entries of the other user for ``pearson`` and
+``weighted_pearson``. Kept entries stay in gather order, so each rater's
+sums have the bits of a sweep over the whole gather. The gather and the
+unweighted scores are memoised, read-only, for the last (matrix, user)
+asked for, which keeps that matrix alive until the next.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -125,24 +131,16 @@ def _check_target(weights: WeightVector, target: ItemId) -> None:
 def _pair_correlation(
     a: UserId, u: UserId, matrix: RatingMatrix, weights: WeightVector | None
 ) -> tuple[float, int]:
-    """(raw, overlap) of one pair: the entries of a's gather rated by u form one group."""
+    """(raw, overlap) of one pair: the entries of a's gather rated by u."""
     aix, uix = matrix._user_index(a), matrix._user_index(u)
     g = _gather(matrix, aix)
-    pair = g.users == uix
-    w = None
-    if weights is not None:
-        w = _weight_row(weights, matrix, g.items[g.itempos[pair]])
-    group = np.zeros(np.count_nonzero(pair), dtype=np.intp)
-    raw, _, _, overlap = _correlate(group, 1, g.dev_a[pair], g.dev_u[pair], w)
-    return float(raw[0]), int(overlap[0])
+    raw, _, _, overlap = _sweep(matrix, aix, np.flatnonzero(g.users == uix), weights)
+    return float(raw[uix]), int(overlap[uix])
 
 
 def _weight_row(weights: WeightVector, matrix: RatingMatrix, item_ix: np.ndarray) -> np.ndarray:
     """The weight of each item index in ``item_ix``."""
-    items = matrix.items
-    return np.fromiter(
-        (weights[items[j]] for j in item_ix.tolist()), dtype=np.float64, count=item_ix.size
-    )
+    return weights.row(list(map(matrix.items.__getitem__, item_ix.tolist())))
 
 
 def _correlate(
@@ -183,9 +181,8 @@ class _Gather(NamedTuple):
 
     items: np.ndarray  # a's item indices, ascending
     itempos: np.ndarray  # each entry's position in ``items``
+    pos: np.ndarray  # each entry's position in the matrix's item-major columns
     users: np.ndarray  # each entry's rater
-    dev_a: np.ndarray  # a's deviation on the entry's item
-    dev_u: np.ndarray  # the rater's deviation on it
 
 
 def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -196,23 +193,45 @@ def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _gather(matrix: RatingMatrix, uix: int) -> _Gather:
-    items_a, vals_a = matrix._user_row(uix)
+    items_a, _ = matrix._user_row(uix)
     starts = matrix._iptr[items_a]
     counts = matrix._iptr[items_a + 1] - starts
     first = np.cumsum(counts) - counts  # gather index of each item's first rater
     pos = np.arange(counts.sum()) - np.repeat(first - starts, counts)
     itempos = np.repeat(np.arange(items_a.size), counts)
-    users = matrix._iusers[pos]
-    dev_a = (vals_a - matrix._umeans[uix])[itempos]
-    dev_u = matrix._ivals[pos] - matrix._umeans[users]
-    return _Gather(*_frozen((items_a, itempos, users, dev_a, dev_u)))
+    return _Gather(*_frozen((items_a, itempos, pos, matrix._iusers[pos])))
+
+
+def _sweep(
+    matrix: RatingMatrix, aix: int, kept, weights: WeightVector | None = None
+) -> tuple[np.ndarray, ...]:
+    """(raw, cf, value, overlap) of user ``aix`` against every user, summed over
+    the gather entries ``kept`` (an index array or a slice) only.
+
+    Deviations, and weights when given, are computed for the kept entries
+    alone; the kept entries keep their gather order, so each rater's sums
+    have the bits of a sweep over the whole gather. Only items on a kept
+    entry need a weight.
+    """
+    g = _gather(matrix, aix)
+    itempos, users = g.itempos[kept], g.users[kept]
+    _, vals_a = matrix._user_row(aix)
+    dev_a = (vals_a - matrix._umeans[aix])[itempos]
+    dev_u = matrix._ivals[g.pos[kept]] - matrix._umeans[users]
+    w = None
+    if weights is not None:
+        used = np.zeros(g.items.size, dtype=bool)
+        used[itempos] = True
+        w_row = np.zeros(g.items.size)
+        w_row[used] = _weight_row(weights, matrix, g.items[used])
+        w = w_row[itempos]
+    return _correlate(users, len(matrix.users), dev_a, dev_u, w)
 
 
 @functools.lru_cache(maxsize=1)
 def _plain_scores(matrix: RatingMatrix, uix: int) -> tuple[np.ndarray, ...]:
     """Unweighted (raw, cf, value, overlap) of user ``uix`` against every user."""
-    g = _gather(matrix, uix)
-    return _frozen(_correlate(g.users, len(matrix.users), g.dev_a, g.dev_u))
+    return _frozen(_sweep(matrix, uix, slice(None)))
 
 
 # -- the ranking and its running sums ------------------------------------------
@@ -327,11 +346,10 @@ def rank_candidates(
         raw, cf, value, overlap = _plain_scores(matrix, aix)
     else:
         _check_target(weights, target)
-        g = _gather(matrix, aix)
-        w = _weight_row(weights, matrix, g.items)
-        raw, cf, value, overlap = _correlate(
-            g.users, len(matrix.users), g.dev_a, g.dev_u, w[g.itempos]
-        )
+        is_cand = np.zeros(len(matrix.users), dtype=bool)
+        is_cand[cand] = True
+        kept = np.flatnonzero(is_cand[_gather(matrix, aix).users])
+        raw, cf, value, overlap = _sweep(matrix, aix, kept, weights)
 
     keep = overlap[cand] > 0
     if min_sim is not None:

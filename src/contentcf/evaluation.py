@@ -230,7 +230,8 @@ def _eval_ratings(
             continue
         if config.method == "wpc" and user_id != current_user:
             current_user = user_id
-            user_items = list(matrix.ratings_of(user_id).keys())
+            user_row, _ = matrix._user_row(matrix._user_index(user_id))
+            user_items = list(map(matrix.items.__getitem__, user_row.tolist()))
 
         if not matrix.has_item(item_id):
             ranked = EMPTY_RANKING

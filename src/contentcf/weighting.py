@@ -6,13 +6,22 @@ wildly in length across metadata sources, so only shared actors count). The
 weight of a catalog movie against the target is a smoothed cosine: matching
 pairs get (1 + shared features) / (norm product), zero-overlap pairs get a
 small positive floor so they never dominate nor vanish.
+
+``build_vectors`` and ``cosine`` spell that construction out for one pair.
+The weights themselves come from one element-wise kernel over integer
+counts, ``_smoothed_weight``: shared features and the two squared norms.
+``WeightCalculator`` gets the counts for a whole candidate list at once from
+posting lists over int feature ids, one bincount per target, so a weight
+row costs a few array passes rather than one Python call per candidate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, get_args
+from typing import Iterable, Literal, Mapping, Sequence, get_args
+
+import numpy as np
 
 from .data import FeatureVector, ItemId, MovieProfile, check_choice
 
@@ -21,6 +30,8 @@ _K0_BRANCHES = get_args(K0Branch)
 
 # Normalized (genres, directors, actors) of one movie.
 FeatureSets = tuple[frozenset[str], frozenset[str], frozenset[str]]
+_BLOCKS = 3  # genres, directors, actors
+_NO_POSTINGS = np.empty(0, dtype=np.int64)
 
 
 def _norm_label(label: str) -> str:
@@ -53,11 +64,15 @@ class WeightVector:
     max_feature_count: int
 
     def __getitem__(self, item_id: ItemId) -> float:
+        return float(self.row((item_id,))[0])
+
+    def row(self, item_ids: Sequence[ItemId]) -> np.ndarray:
+        """The weights of ``item_ids``, in their order, as a float64 array."""
         try:
-            return self.weights[item_id]
-        except KeyError:
+            return np.fromiter(map(self.weights.__getitem__, item_ids), np.float64, len(item_ids))
+        except KeyError as exc:
             raise KeyError(
-                f"no weight for item {item_id!r} relative to target {self.target_id!r}"
+                f"no weight for item {exc.args[0]!r} relative to target {self.target_id!r}"
             ) from None
 
 
@@ -128,80 +143,122 @@ def item_weight(
     if max_feature_count < 1:
         raise ValueError("max_feature_count must be >= 1")
     check_choice("k0_branch", k0_branch, _K0_BRANCHES)
-    return _smoothed_weight(
-        _feature_sets(profile_m), _feature_sets(profile_t), max_feature_count, k0_branch
-    )
+    g_m, d_m, a_m = _feature_sets(profile_m)
+    g_t, d_t, a_t = _feature_sets(profile_t)
+    a_common = len(a_m & a_t)
+    shared = len(g_m & g_t) + len(d_m & d_t) + a_common
+    nm_sq, nt_sq = len(g_m) + len(d_m) + a_common, len(g_t) + len(d_t) + a_common
+    counts = np.array([[shared], [nm_sq], [nt_sq]])
+    return float(_smoothed_weight(*counts, max_feature_count, k0_branch)[0])
 
 
 def _smoothed_weight(
-    sets_m: FeatureSets, sets_t: FeatureSets, max_feature_count: int, k0_branch: K0Branch
-) -> float:
-    """item_weight over normalized feature sets.
+    shared: np.ndarray,
+    nm_sq: np.ndarray,
+    nt_sq: np.ndarray,
+    max_feature_count: int,
+    k0_branch: K0Branch,
+) -> np.ndarray:
+    """item_weight, element-wise over integer count arrays.
 
-    Equivalent to building the trimmed vectors and taking dot/norms: the
-    actor intersection contributes to both vectors and to the dot product.
+    ``shared`` counts the features two movies share; ``nm_sq`` and ``nt_sq``
+    are their trimmed vectors' squared norms, genres plus directors plus the
+    shared actors (the actor intersection is in both vectors and in the dot
+    product). The counts are exact integers and IEEE sqrt and division are
+    correctly rounded, so each weight has the bits of the scalar formula
+    ``(1 + shared) / (math.sqrt(nm_sq) * math.sqrt(nt_sq))``.
     """
-    g_m, d_m, a_m = sets_m
-    g_t, d_t, a_t = sets_t
-    a_common = len(a_m & a_t)
-    shared = len(g_m & g_t) + len(d_m & d_t) + a_common
-    nm_sq = len(g_m) + len(d_m) + a_common
-    nt_sq = len(g_t) + len(d_t) + a_common
-    if shared >= 1:
-        return (1 + shared) / (math.sqrt(nm_sq) * math.sqrt(nt_sq))
+    norms = np.sqrt(nm_sq) * np.sqrt(nt_sq)
+    matched = shared >= 1
     if k0_branch == "literal":
-        if nm_sq == 0 or nt_sq == 0:
+        if np.any(norms == 0):  # never a matched pair: both norms are >= 1 there
             raise ValueError(
                 "literal zero-overlap weight is undefined for a movie with no "
                 "features in the comparison universe"
             )
-        return 1.0 / (math.sqrt(nm_sq) * math.sqrt(nt_sq))
-    return 1.0 / max_feature_count
+        return np.where(matched, 1 + shared, 1) / norms
+    out = np.full(norms.shape, 1.0 / max_feature_count)
+    np.divide(1 + shared, norms, out=out, where=matched)
+    return out
 
 
 class WeightCalculator:
     """Content weights relative to a target, over a profile store.
 
-    ``__init__`` normalizes every profile's feature sets once; after that the
+    ``__init__`` encodes every profile once: each normalized label becomes an
+    int feature id, in one namespace per block (genres, directors, actors),
+    with a posting list of the items that carry it; each item's genre plus
+    director count is kept too. A target's postings, counted with one
+    ``bincount``, give its shared genres, directors and actors against every
+    item, and the weights of any candidates follow element-wise. The
     calculator holds no mutable state, so one instance serves every fold,
-    thread and forked worker of a run. Each weight is computed on request.
+    thread and forked worker of a run.
     """
 
     def __init__(self, store, k0_branch: K0Branch = "mv"):
         check_choice("k0_branch", k0_branch, _K0_BRANCHES)
         self._k0_branch: K0Branch = k0_branch
-        self._sets: dict[ItemId, FeatureSets] = {
-            item_id: _feature_sets(profile)
-            for item_id, profile in _profiles_of(store).items()
-        }
-        self.max_feature_count = max(
-            [1] + [len(g) + len(d) + len(a) for g, d, a in self._sets.values()]
-        )
+        profiles = _profiles_of(store)
+        self._index: dict[ItemId, int] = {item_id: i for i, item_id in enumerate(profiles)}
+        vocab: dict[tuple[int, str], int] = {}
+        self._features: list[list[int]] = []  # each item's feature ids
+        flat: list[int] = []  # every (item, feature) pair's feature id ...
+        keys: list[int] = []  # ... and its posting: item * 3 + block
+        base: list[int] = []
+        for i, profile in enumerate(profiles.values()):
+            sets = _feature_sets(profile)
+            feats = [vocab.setdefault((b, x), len(vocab)) for b, xs in enumerate(sets) for x in xs]
+            self._features.append(feats)
+            flat.extend(feats)
+            keys.extend(i * _BLOCKS + b for b, xs in enumerate(sets) for _ in xs)
+            base.append(len(sets[0]) + len(sets[1]))
+        self.max_feature_count = max([1, *map(len, self._features)])
+        # An item's squared norm against any target, before the shared actors.
+        self._base = np.array(base, dtype=np.int64)
+        # Feature f's postings; one bincount over a target's postings counts
+        # its shared genres, directors and actors against every item.
+        flat_ids = np.array(flat, dtype=np.int64)
+        order = np.argsort(flat_ids, kind="stable")
+        bounds = np.cumsum(np.bincount(flat_ids, minlength=len(vocab)))[:-1]
+        self._postings = np.split(np.array(keys, dtype=np.int64)[order], bounds)
 
     def has_profile(self, item_id: ItemId) -> bool:
-        return item_id in self._sets
+        return item_id in self._index
 
-    def _feature_sets_of(self, item_id: ItemId) -> FeatureSets:
+    def _positions(self, item_ids: Iterable[ItemId], count: int) -> np.ndarray:
         try:
-            return self._sets[item_id]
-        except KeyError:
-            raise KeyError(f"item {item_id!r} has no profile") from None
+            return np.fromiter(map(self._index.__getitem__, item_ids), np.intp, count)
+        except KeyError as exc:
+            raise KeyError(f"item {exc.args[0]!r} has no profile") from None
 
-    def weight(self, item_id: ItemId, target_id: ItemId) -> float:
-        """Weight of a single catalog item relative to the target."""
+    def _row(self, t: int, cand: np.ndarray) -> np.ndarray:
+        """Weights of the items at positions ``cand`` relative to the item at ``t``."""
+        postings = np.concatenate([_NO_POSTINGS, *(self._postings[f] for f in self._features[t])])
+        n = len(self._index)
+        shared = np.bincount(postings, minlength=n * _BLOCKS).reshape(n, _BLOCKS)[cand]
+        a_common = shared[:, 2]
         return _smoothed_weight(
-            self._feature_sets_of(item_id),
-            self._feature_sets_of(target_id),
+            shared[:, 0] + shared[:, 1] + a_common,
+            self._base[cand] + a_common,
+            self._base[t] + a_common,
             self.max_feature_count,
             self._k0_branch,
         )
 
+    def weight(self, item_id: ItemId, target_id: ItemId) -> float:
+        """Weight of a single catalog item relative to the target."""
+        m, t = self._positions((item_id, target_id), 2)
+        return float(self._row(t, m[None])[0])
+
     def weights_for(self, target_id: ItemId, candidates: Iterable[ItemId]) -> WeightVector:
         if not self.has_profile(target_id):
             raise KeyError(f"target item {target_id!r} has no profile")
+        candidates = list(candidates)
+        cand = self._positions(candidates, len(candidates))
+        row = self._row(self._index[target_id], cand)
         return WeightVector(
             target_id=target_id,
-            weights={c: self.weight(c, target_id) for c in candidates},
+            weights=dict(zip(candidates, row.tolist())),
             max_feature_count=self.max_feature_count,
         )
 

@@ -359,6 +359,121 @@ def test_scalar_weighted_pearson_matches_vectorized(triples, data):
                 assert s.overlap == overlap
 
 
+def _bits(rows):
+    """Rows of (user, raw, cf, value, overlap) with every float as its exact bits."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
+
+
+def _as_rows(ranking):
+    return [(s.user_id, s.raw, s.cf, s.value, s.overlap) for s in ranking]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rating_triples(max_users=7, max_items=6),
+    st.integers(1, 7),
+    st.integers(101, 107),
+    st.none() | st.floats(-1.0, 1.0),
+    st.data(),
+)
+def test_weighted_ranking_has_the_oracle_bits(triples, a, target, min_sim, data):
+    """The candidate-only weighted sweep ranks with the oracle's exact bits;
+    item 107 is never rated, so some targets have no raters at all."""
+    table = by_user(triples)
+    assume(a in table)
+    m = build_matrix(as_ratings(triples))
+    weight = st.floats(0.01, 3.0)
+    weights = {i: data.draw(weight) for i in m.items}
+    wv = WeightVector(target, weights, max_feature_count=10)
+    got = rank_candidates(a, target, m, weights=wv, min_sim=min_sim)
+    assert _bits(_as_rows(got)) == _bits(naive_rank(table, a, target, weights, min_sim))
+    plain = rank_candidates(a, target, m, min_sim=min_sim)
+    assert _bits(_as_rows(plain)) == _bits(naive_rank(table, a, target, None, min_sim))
+
+
+class TestWeightedRankingCases:
+    """Cases the candidate-only sweep must get right, against the oracle."""
+
+    # User 2 shares no item with user 1; user 3 shares items 0-2; item 6 is
+    # rated by user 1 and by user 4, who rates neither target 0 nor 5.
+    TRIPLES = [
+        (1, 0, 4), (1, 1, 5), (1, 2, 2), (1, 6, 3),
+        (2, 3, 1), (2, 5, 3),
+        (3, 0, 5), (3, 1, 4), (3, 2, 1), (3, 5, 2),
+        (4, 1, 2), (4, 4, 5), (4, 6, 1),
+    ]
+    WEIGHTS = {0: 0.5, 1: 1.25, 2: 0.75, 3: 2.0, 4: 1.0, 5: 0.25, 6: 1.5}
+
+    def _rank(self, a, target, min_sim=None, weights=WEIGHTS):
+        m = build_matrix(as_ratings(self.TRIPLES))
+        wv = WeightVector(target, weights, max_feature_count=10)
+        got = rank_candidates(a, target, m, weights=wv, min_sim=min_sim)
+        expected = naive_rank(by_user(self.TRIPLES), a, target, weights, min_sim)
+        assert _bits(_as_rows(got)) == _bits(expected)
+        return [s.user_id for s in got]
+
+    def test_zero_overlap_candidate_dropped(self):
+        assert self._rank(1, 5) == [3]
+
+    def test_active_user_who_rated_the_target(self):
+        assert self._rank(1, 0) == [3]
+        assert self._rank(3, 0) == [1]
+
+    def test_min_sim_filters_after_weighting(self):
+        assert self._rank(1, 0, min_sim=1.0) == []
+        assert self._rank(3, 0, min_sim=-1.0) == [1]
+
+    def test_target_without_other_raters(self):
+        assert self._rank(4, 4) == []
+        assert self._rank(1, 99) == []
+
+    def test_only_items_shared_with_a_candidate_need_a_weight(self):
+        # Item 6 is co-rated with user 4 only, who is no candidate for target 5.
+        assert self._rank(1, 5, weights={0: 0.5, 1: 1.25, 2: 0.75}) == [3]
+        with pytest.raises(KeyError, match="no weight for item 1 relative to target 5"):
+            self._rank(1, 5, weights={0: 0.5, 2: 0.75})
+
+
+class TestGatherReadOnly:
+    def test_read_only_and_memoised_per_matrix_and_user(self):
+        cf._gather.cache_clear()
+        m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
+        twin = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
+        g = cf._gather(m, 0)
+        for arr in g:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            g.users[0] = 1
+        wv = WeightVector(0, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
+        rank_candidates(1, 0, m, weights=wv)
+        rank_candidates(1, 0, m)
+        pearson(1, 3, m)
+        weighted_pearson(1, 3, 0, m, wv)
+        assert cf._gather(m, 0) is g
+        assert cf._gather.cache_info().misses == 1
+        assert cf._gather(twin, 0) is not g
+        assert cf._gather(m, 1) is not g
+        assert cf._gather.cache_info().misses == 3
+        assert cf._gather.cache_info().currsize == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(rating_triples(max_users=6, max_items=6), st.data())
+def test_pair_correlations_have_the_oracle_bits(triples, data):
+    m = build_matrix(as_ratings(triples))
+    table = by_user(triples)
+    a = data.draw(st.sampled_from(m.users))
+    u = data.draw(st.sampled_from(m.users))
+    weights = {i: data.draw(st.floats(0.01, 3.0)) for i in m.items}
+    wv = WeightVector(m.items[0], weights, max_feature_count=10)
+    for got, expected in [
+        (pearson(a, u, m), naive_pearson(table, a, u)),
+        (weighted_pearson(a, u, m.items[0], m, wv), naive_pearson(table, a, u, weights)),
+    ]:
+        assert type(got[0]) is float and type(got[1]) is int
+        assert (got[0].hex(), got[1]) == (expected[0].hex(), expected[1])
+
+
 # -- the array-backed ranking ---------------------------------------------------
 
 

@@ -1,12 +1,14 @@
-"""Feature vectors, cosine, the smoothed item weight, and the per-target cache."""
+"""Feature vectors, cosine, the smoothed item weight, and the per-target weight rows."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contentcf.data import MovieProfile
+from contentcf.data import MovieProfile, ProfileSource
 from contentcf.weighting import (
     WeightCalculator,
     build_vectors,
@@ -276,3 +278,107 @@ class TestWeightsForTarget:
                 w = calc.weight(p.item_id, q.item_id)
                 if w != floor:
                     assert w > floor
+
+
+# -- the posting-list weight rows against the per-pair paths -------------------
+
+# Labels that collide after strip/casefold ("ß" folds to "ss"), drawn for
+# directors and actors from one pool so a name can be both.
+messy_label = st.sampled_from(["a", "A", " a", "a ", "b", "B ", "ss", "SS", "ß", "c"])
+_LITERAL_ERROR = (
+    "literal zero-overlap weight is undefined for a movie with no features in the "
+    "comparison universe"
+)
+
+
+@st.composite
+def messy_catalogs(draw):
+    catalog = []
+    for item_id in range(draw(st.integers(1, 6))):
+        genres = draw(st.frozensets(messy_label, max_size=3))
+        catalog.append(
+            MovieProfile(
+                item_id=item_id,
+                title=str(item_id),
+                genres=genres,
+                directors=draw(st.frozensets(messy_label, max_size=2)),
+                actors=draw(st.frozensets(messy_label, max_size=3)),
+                # Only an override record may come without genres.
+                source=ProfileSource.DATASET if genres else ProfileSource.OVERRIDE,
+            )
+        )
+    return catalog
+
+
+def _vector_weight(pm, pt, max_feature_count, k0_branch):
+    """The weight spelled out over build_vectors' aligned 0/1 vectors."""
+    vm, vt = build_vectors(pm, pt)
+    dot = sum(x * y for x, y in zip(vm.components, vt.components))
+    nm, nt = sum(vm.components), sum(vt.components)
+    if nm and nt:
+        assert (cosine(vm, vt) > 0) == (dot > 0)
+    if dot:
+        return (1 + dot) / (math.sqrt(nm) * math.sqrt(nt))
+    if k0_branch == "literal":
+        return 1.0 / (math.sqrt(nm) * math.sqrt(nt))  # ZeroDivisionError at a zero norm
+    return 1.0 / max_feature_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_catalogs(), st.sampled_from(["mv", "literal"]), st.data())
+def test_weights_for_has_the_bits_of_the_pair_paths(catalog, k0_branch, data):
+    calc = WeightCalculator(_store(catalog), k0_branch=k0_branch)
+    mfc = calc.max_feature_count
+    target = data.draw(st.sampled_from(catalog))
+    # Duplicates, the target itself and the empty list all occur.
+    picked = data.draw(st.lists(st.sampled_from(catalog), max_size=8))
+    ids = [p.item_id for p in picked]
+
+    expected = {}
+    for p in picked:
+        try:
+            expected[p.item_id] = item_weight(p, target, mfc, k0_branch)
+        except ValueError as exc:
+            assert str(exc) == _LITERAL_ERROR
+            with pytest.raises(ZeroDivisionError):
+                _vector_weight(p, target, mfc, k0_branch)
+            with pytest.raises(ValueError) as raised:
+                calc.weights_for(target.item_id, ids)
+            assert str(raised.value) == _LITERAL_ERROR
+            with pytest.raises(ValueError):
+                calc.weight(p.item_id, target.item_id)
+            return
+        oracle = _vector_weight(p, target, mfc, k0_branch)
+        assert expected[p.item_id].hex() == oracle.hex()
+
+    wv = calc.weights_for(target.item_id, iter(ids))
+    assert wv.target_id == target.item_id and wv.max_feature_count == mfc
+    assert list(wv.weights) == list(dict.fromkeys(ids))
+    for item_id, weight in expected.items():
+        assert type(wv.weights[item_id]) is float
+        assert wv.weights[item_id].hex() == weight.hex()
+        assert calc.weight(item_id, target.item_id).hex() == weight.hex()
+
+
+def test_unprofiled_ids_are_named_exactly():
+    store = _store(_catalog())
+    calc = WeightCalculator(store)
+    cases = [
+        (lambda: calc.weights_for(100, [101, 999]), "item 999 has no profile"),
+        (lambda: calc.weights_for(998, [100]), "target item 998 has no profile"),
+        (lambda: calc.weights_for("x", []), "target item 'x' has no profile"),
+        (lambda: calc.weight(997, 100), "item 997 has no profile"),
+        (lambda: calc.weight(100, 996), "item 996 has no profile"),
+    ]
+    for call, message in cases:
+        with pytest.raises(KeyError) as raised:
+            call()
+        assert raised.value.args == (message,)
+
+
+def test_weight_vector_row_names_a_missing_item():
+    wv = WeightCalculator(_store(_catalog())).weights_for(100, [100, 101])
+    assert wv.row([101, 100, 101]).tolist() == [wv[101], wv[100], wv[101]]
+    with pytest.raises(KeyError) as raised:
+        wv.row([100, 5])
+    assert raised.value.args == ("no weight for item 5 relative to target 100",)
