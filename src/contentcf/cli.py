@@ -93,37 +93,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overrides", help="manual override file (JSON lines)")
     p.add_argument("--out", required=True, help="output profile file (JSON lines)")
 
-    p = sub.add_parser("evaluate", parents=[common],
+    # The run settings evaluate and predict share.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--data-dir", help="directory containing ratings.dat")
+    run.add_argument("--ratings", help="explicit ratings file path (overrides --data-dir)")
+    run.add_argument("--profiles", help="profile file (required for --method wpc)")
+    run.add_argument("--method", choices=get_args(Method), help="similarity method (default pc)")
+    run.add_argument("--k0-branch", choices=get_args(K0Branch), dest="k0_branch",
+                     help="zero-overlap weight branch (default mv)")
+    run.add_argument("--denominator", choices=get_args(Denominator),
+                     help="prediction denominator (default abs)")
+    run.add_argument("--min-sim", type=float, dest="min_sim",
+                     help="exclude neighbors below this similarity")
+
+    p = sub.add_parser("evaluate", parents=[common, run],
                        help="cross-validated MAE over a (method, k) grid")
-    p.add_argument("--data-dir", help="directory containing ratings.dat")
-    p.add_argument("--ratings", help="explicit ratings file path (overrides --data-dir)")
-    p.add_argument("--profiles", help="profile file (required for --method wpc)")
-    p.add_argument("--method", choices=get_args(Method), help="similarity method (default pc)")
     p.add_argument("--k", type=_parse_k_list, dest="k", help="neighbor counts, e.g. 5,10,20,30,50")
     p.add_argument("--seed", type=int, help="fold-split seed (default 42)")
-    p.add_argument("--k0-branch", choices=get_args(K0Branch), dest="k0_branch",
-                   help="zero-overlap weight branch (default mv)")
-    p.add_argument("--denominator", choices=get_args(Denominator),
-                   help="prediction denominator (default abs)")
-    p.add_argument("--min-sim", type=float, dest="min_sim", help="exclude neighbors below this similarity")
     p.add_argument("--sample-test", type=int, dest="sample_test",
                    help="evaluate a seeded subsample of each test fold")
     p.add_argument("--split", choices=get_args(SplitMode), help="fold split policy (default per-item)")
     p.add_argument("--workers", type=int, help="parallel workers (default: all cores)")
     p.add_argument("--out", help="report CSV path (default report.csv)")
 
-    p = sub.add_parser("predict", parents=[common],
+    p = sub.add_parser("predict", parents=[common, run],
                        help="predict one user's rating for one movie, trained on the full file")
-    p.add_argument("--data-dir", help="directory containing ratings.dat")
-    p.add_argument("--ratings", help="explicit ratings file path (overrides --data-dir)")
-    p.add_argument("--profiles", help="profile file (required for --method wpc)")
-    p.add_argument("--method", choices=get_args(Method), help="similarity method (default pc)")
     p.add_argument("--user", required=True, type=int, help="active user id")
     p.add_argument("--item", required=True, type=int, help="target movie id")
     p.add_argument("--k", type=int, help="neighborhood size (default 50)")
-    p.add_argument("--k0-branch", choices=get_args(K0Branch), dest="k0_branch")
-    p.add_argument("--denominator", choices=get_args(Denominator))
-    p.add_argument("--min-sim", type=float, dest="min_sim")
 
     return parser
 
@@ -267,8 +264,8 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    config = _read_config_file(args.config) if args.config else {}
     try:
+        config = _read_config_file(args.config) if args.config else {}
         return _COMMANDS[args.command](args, config)
     except SystemExit:
         raise

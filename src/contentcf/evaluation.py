@@ -293,13 +293,14 @@ def run_experiment(
             )
     entry_users, entry_items, entry_values = full._entries()
 
-    n_k = len(config.k_values)
-    fold_err_sums = np.zeros((folds.n_folds, n_k))
-    fold_maes = np.zeros((folds.n_folds, n_k))
-    fold_pred_counts = np.zeros(folds.n_folds, dtype=np.int64)
-    fallback_counts = np.zeros(n_k, dtype=np.int64)
-    skipped_total = 0
+    n_workers = config.effective_workers
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # platforms without fork: evaluate serially
+        n_workers = 1
 
+    # Per fold: |error| sums per k, fallbacks per k, predictions, held-out rows, MAE per k.
+    per_fold = []
     for f in range(folds.n_folds):
         in_fold = folds.fold == f
         # Held-out entries, already in (user, item) order.
@@ -318,12 +319,7 @@ def run_experiment(
         # A fold holding every rating leaves an empty matrix: every row is skipped.
         matrix = full._masked(~in_fold)
 
-        n_workers = config.effective_workers
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platforms without fork: evaluate serially
-            ctx = None
-        if ctx is None or n_workers <= 1 or held.size < 2 * n_workers:
+        if n_workers <= 1 or held.size < 2 * n_workers:
             results = [_eval_ratings(matrix, calculator, config, rows)]
         else:
             cuts = _chunk_bounds(user_rows, n_chunks=4 * n_workers)
@@ -340,36 +336,30 @@ def run_experiment(
         abs_err, fell, predicted = (np.concatenate(c, axis=-1) for c in zip(*results))
 
         n_pred = int(predicted.sum())
-        fold_pred_counts[f] = n_pred
-        skipped_total += held.size - n_pred
         # Skipped rows hold 0, so these are the sums over the predicted rows.
-        fold_err_sums[f] = np.sum(abs_err, axis=1)
-        fallback_counts += fell.sum(axis=1)
-        fold_maes[f] = fold_err_sums[f] / n_pred if n_pred else np.nan
+        err_sums = np.sum(abs_err, axis=1)
+        fold_mae = err_sums / (n_pred or np.nan)  # NaN for a fold without predictions
+        per_fold.append((err_sums, fell.sum(axis=1), n_pred, held.size, fold_mae))
         logger.info(
             "fold %d/%d (%s): %d predictions, %d skipped, mae per k %s",
             f + 1, folds.n_folds, config.method, n_pred, held.size - n_pred,
-            np.round(fold_maes[f], 4).tolist(),
+            np.round(fold_mae, 4).tolist(),
         )
 
-    total_preds = int(fold_pred_counts.sum())
-    reports = []
-    for ki, k in enumerate(config.k_values):
-        pooled = (
-            float(fold_err_sums[:, ki].sum() / total_preds) if total_preds else float("nan")
+    err_sums, fallbacks, n_preds, n_held, fold_maes = (np.array(c) for c in zip(*per_fold))
+    total = int(n_preds.sum())
+    return [
+        ExperimentReport(
+            method=config.method,
+            k=k,
+            fold_maes=tuple(fold_maes[:, ki].tolist()),
+            mae=float(err_sums[:, ki].sum() / total) if total else float("nan"),
+            predictions=total,
+            fallbacks=int(fallbacks[:, ki].sum()),
+            skipped=int(n_held.sum()) - total,
         )
-        reports.append(
-            ExperimentReport(
-                method=config.method,
-                k=k,
-                fold_maes=tuple(fold_maes[:, ki].tolist()),
-                mae=pooled,
-                predictions=total_preds,
-                fallbacks=int(fallback_counts[ki]),
-                skipped=skipped_total,
-            )
-        )
-    return reports
+        for ki, k in enumerate(config.k_values)
+    ]
 
 
 # -- reporting -----------------------------------------------------------------

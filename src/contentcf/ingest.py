@@ -13,9 +13,9 @@ import logging
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
-from typing import Callable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -54,6 +54,15 @@ class SparqlMovieResult:
 class FetchLogEntry:
     status: str  # fetched-ok | not-found | fetch-failed | overridden | dataset-only
     multi_title: bool = False
+
+
+# The log status of a profile from each source; a dataset profile whose fetch
+# found nothing or failed is logged as not-found or fetch-failed instead.
+_STATUS_OF = {
+    ProfileSource.OVERRIDE: "overridden",
+    ProfileSource.LINKED_DATA: "fetched-ok",
+    ProfileSource.DATASET: "dataset-only",
+}
 
 
 @dataclass(frozen=True)
@@ -317,13 +326,16 @@ def fetch_profile(
     return parse_sparql_xml(body)
 
 
+_FETCH_STATUSES = ("ok", "not-found", "failed")
+
+
 @dataclass(frozen=True)
 class FetchOutcome:
     """One movie's batch-fetch result, as persisted by `fetch-metadata`."""
 
     item_id: ItemId
     title: str
-    status: str  # ok | not-found | failed
+    status: str  # one of _FETCH_STATUSES
     directors: frozenset[str] = frozenset()
     actors: frozenset[str] = frozenset()
     multi_title: bool = False
@@ -390,12 +402,34 @@ def _title_candidates(title: str) -> list[str]:
 # -- overrides and assembly ------------------------------------------------------
 
 
-def _read_records(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+def _is_labels(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+# Each record field a loader reads: the check its value must pass, and what it is otherwise.
+_FIELD_CHECKS = {
+    "item_id": (
+        lambda v: isinstance(v, (int, str)) and not isinstance(v, bool),
+        "not an integer or a string",
+    ),
+    "title": (lambda v: isinstance(v, str), "not a string"),
+    "genres": (_is_labels, "not an array of strings"),
+    "directors": (_is_labels, "not an array of strings"),
+    "actors": (_is_labels, "not an array of strings"),
+    "status": (lambda v: v in _FETCH_STATUSES, f"not one of {', '.join(_FETCH_STATUSES)}"),
+    "multi_title": (lambda v: isinstance(v, bool), "not a boolean"),
+}
+_PROFILE_FIELDS = ("item_id", "title", "genres", "directors", "actors")
+
+
+def _read_records(
+    path, required: tuple[str, ...], checked: tuple[str, ...] = _PROFILE_FIELDS
+) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
     A line that is not a JSON object, lacks a ``required`` field, or has a
-    feature list that is not an array of strings raises ValueError naming
-    the file and line.
+    ``checked`` field of the wrong type raises ValueError naming the file
+    and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -411,10 +445,10 @@ def _read_records(path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]
             missing = [f for f in required if f not in record]
             if missing:
                 raise ValueError(f"{path}: line {lineno}: record lacks {', '.join(missing)}")
-            for field in ("genres", "directors", "actors"):
-                labels = record.get(field, [])
-                if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
-                    raise ValueError(f"{path}: line {lineno}: {field} is not an array of strings")
+            for field in checked:
+                check, otherwise = _FIELD_CHECKS[field]
+                if field in record and not check(record[field]):
+                    raise ValueError(f"{path}: line {lineno}: {field} is {otherwise}")
             yield lineno, record
 
 
@@ -435,16 +469,13 @@ def load_overrides(
         if known_items is not None and item_id not in known_items:
             logger.warning("%s: line %d: unknown item %r, record skipped", path, lineno, item_id)
             continue
-        actors = list(record.get("actors", []))
-        if actor_cap is not None and len(actors) > actor_cap:
-            actors = actors[:actor_cap]
         profiles.append(
             MovieProfile(
                 item_id=item_id,
                 title=record.get("title", ""),
                 genres=frozenset(record.get("genres", [])),
                 directors=frozenset(record.get("directors", [])),
-                actors=frozenset(actors),
+                actors=frozenset(record.get("actors", [])[:actor_cap]),
                 source=ProfileSource.OVERRIDE,
             )
         )
@@ -467,119 +498,79 @@ def assemble_profiles(
     fetched = fetched or {}
     override_by_id = {p.item_id: p for p in (overrides or [])}
 
-    def capped(actors: frozenset[str]) -> frozenset[str]:
-        if linked_actor_cap is None or len(actors) <= linked_actor_cap:
-            return actors
-        return frozenset(sorted(actors)[:linked_actor_cap])
-
     profiles: dict[ItemId, MovieProfile] = {}
     log: dict[ItemId, FetchLogEntry] = {}
     for item_id, (title, genres) in movies.items():
         ov = override_by_id.get(item_id)
         fo = fetched.get(item_id)
         if ov is not None:
-            profiles[item_id] = MovieProfile(
-                item_id=item_id,
-                title=title,
-                genres=frozenset(genres),
-                directors=ov.directors,
-                actors=ov.actors,
-                source=ProfileSource.OVERRIDE,
-            )
-            log[item_id] = FetchLogEntry("overridden")
+            source, directors, actors = ProfileSource.OVERRIDE, ov.directors, ov.actors
+            entry = FetchLogEntry(_STATUS_OF[source])
         elif fo is not None and fo.status == "ok":
-            profiles[item_id] = MovieProfile(
-                item_id=item_id,
-                title=title,
-                genres=frozenset(genres),
-                directors=fo.directors,
-                actors=capped(fo.actors),
-                source=ProfileSource.LINKED_DATA,
-            )
-            log[item_id] = FetchLogEntry("fetched-ok", multi_title=fo.multi_title)
+            source, directors = ProfileSource.LINKED_DATA, fo.directors
+            actors = frozenset(sorted(fo.actors)[:linked_actor_cap])
+            entry = FetchLogEntry(_STATUS_OF[source], multi_title=fo.multi_title)
         else:
-            profiles[item_id] = MovieProfile(
-                item_id=item_id,
-                title=title,
-                genres=frozenset(genres),
-                source=ProfileSource.DATASET,
-            )
+            source, directors, actors = ProfileSource.DATASET, frozenset(), frozenset()
             if fo is None:
-                log[item_id] = FetchLogEntry("dataset-only")
+                entry = FetchLogEntry(_STATUS_OF[source])
             else:
-                log[item_id] = FetchLogEntry(
-                    "not-found" if fo.status == "not-found" else "fetch-failed"
-                )
+                entry = FetchLogEntry("not-found" if fo.status == "not-found" else "fetch-failed")
+        profiles[item_id] = MovieProfile(
+            item_id=item_id,
+            title=title,
+            genres=frozenset(genres),
+            directors=directors,
+            actors=actors,
+            source=source,
+        )
+        log[item_id] = entry
     return ProfileStore(profiles=profiles, fetch_log=log)
 
 
 # -- persistence -----------------------------------------------------------------
 
 
-def _dump_record(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+def _write_records(path, rows: Iterable) -> None:
+    """Write each dataclass row as one JSON object per line, in item id order;
+    the twin of ``_read_records``. Keys are sorted, label sets become sorted
+    arrays and a profile's source its value, so reruns are byte-identical."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in sorted(rows, key=lambda r: str(r.item_id)):
+            record = json.dumps(
+                asdict(row), ensure_ascii=False, sort_keys=True, separators=(",", ":"),
+                default=sorted,
+            )
+            fh.write(record + "\n")
 
 
 def save_fetched(outcomes: Sequence[FetchOutcome], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for o in sorted(outcomes, key=lambda o: str(o.item_id)):
-            fh.write(
-                _dump_record(
-                    {
-                        "item_id": o.item_id,
-                        "title": o.title,
-                        "status": o.status,
-                        "directors": sorted(o.directors),
-                        "actors": sorted(o.actors),
-                        "multi_title": o.multi_title,
-                    }
-                )
-                + "\n"
-            )
+    _write_records(path, outcomes)
 
 
 def load_fetched(path) -> dict[ItemId, FetchOutcome]:
     out: dict[ItemId, FetchOutcome] = {}
-    for _, r in _read_records(path, required=("item_id", "status")):
+    fields = _PROFILE_FIELDS + ("status", "multi_title")
+    for _, r in _read_records(path, required=("item_id", "status"), checked=fields):
         out[r["item_id"]] = FetchOutcome(
             item_id=r["item_id"],
             title=r.get("title", ""),
             status=r["status"],
             directors=frozenset(r.get("directors", [])),
             actors=frozenset(r.get("actors", [])),
-            multi_title=bool(r.get("multi_title", False)),
+            multi_title=r.get("multi_title", False),
         )
     return out
 
 
 def save_profiles(store: ProfileStore, path) -> None:
     """Write one JSON record per movie, sorted by item id; reruns are byte-identical."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id in sorted(store.profiles, key=str):
-            p = store.profiles[item_id]
-            fh.write(
-                _dump_record(
-                    {
-                        "item_id": p.item_id,
-                        "title": p.title,
-                        "genres": sorted(p.genres),
-                        "directors": sorted(p.directors),
-                        "actors": sorted(p.actors),
-                        "source": p.source.value,
-                    }
-                )
-                + "\n"
-            )
+    _write_records(path, store.profiles.values())
 
 
 def load_profiles(path) -> ProfileStore:
     profiles: dict[ItemId, MovieProfile] = {}
     log: dict[ItemId, FetchLogEntry] = {}
-    status_of = {
-        ProfileSource.OVERRIDE: "overridden",
-        ProfileSource.LINKED_DATA: "fetched-ok",
-        ProfileSource.DATASET: "dataset-only",
-    }
     for lineno, r in _read_records(path, required=("item_id", "genres")):
         try:
             source = ProfileSource(r.get("source", "dataset"))
@@ -594,7 +585,7 @@ def load_profiles(path) -> ProfileStore:
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: bad profile record: {exc}") from None
         profiles[profile.item_id] = profile
-        log[profile.item_id] = FetchLogEntry(status_of[source])
+        log[profile.item_id] = FetchLogEntry(_STATUS_OF[source])
     if not profiles:
         raise ValueError(f"{path}: no profiles found")
     return ProfileStore(profiles=profiles, fetch_log=log)

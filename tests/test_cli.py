@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from contentcf.cli import main
+from contentcf.cli import build_parser, main
 from test_ingest import sparql_xml
 
 
@@ -184,6 +185,21 @@ class TestPredictCommand:
         assert rc == 1
         assert "bad k list" in caplog.text
 
+    @pytest.mark.parametrize(
+        "command", [["evaluate", "--workers", "1"], ["predict", "--user", "1", "--item", "2"]]
+    )
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "No such file or directory"), ("bogus line\n", "line 1: expected key=value")],
+    )
+    def test_config_file_error_logged_exit_1(self, dataset, command, text, message, caplog):
+        cfg = dataset / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        rc = main(command[:1] + ["--data-dir", str(dataset), "--config", str(cfg)] + command[1:])
+        assert rc == 1
+        assert message in caplog.text
+
     def test_unknown_user_exits_nonzero(self, dataset):
         with pytest.raises(SystemExit, match="user"):
             main(["predict", "--data-dir", str(dataset), "--user", "999", "--item", "1"])
@@ -290,6 +306,38 @@ class TestHelp:
             main([command, "--help"])
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_option_sets(self):
+        # Every subcommand's options; each is read back under its name with
+        # "-" turned into "_".
+        shared = {"-h", "--help", "--config", "--verbose"}
+        run = {"--data-dir", "--ratings", "--profiles", "--method", "--k0-branch",
+               "--denominator", "--min-sim", "--k"}
+        expected = {
+            "fetch-metadata": shared | {"--movies", "--endpoint", "--out", "--limit",
+                                        "--concurrency", "--retries", "--delay"},
+            "build-profiles": shared | {"--movies", "--fetched", "--overrides", "--out"},
+            "evaluate": shared | run | {"--seed", "--sample-test", "--split", "--workers",
+                                        "--out"},
+            "predict": shared | run | {"--user", "--item"},
+        }
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(expected)
+        for command, subparser in sub.choices.items():
+            options = {o: a.dest for a in subparser._actions for o in a.option_strings}
+            assert set(options) == expected[command], command
+            for option, dest in options.items():
+                if option not in shared:
+                    assert dest == option[2:].replace("-", "_"), option
+
+    def test_predict_help_describes_run_settings(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["predict", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for text in ("zero-overlap weight branch", "prediction denominator",
+                     "exclude neighbors below this similarity"):
+            assert text in out
 
     def test_console_script_installed(self):
         proc = subprocess.run(

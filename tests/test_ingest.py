@@ -14,6 +14,7 @@ from contentcf import ingest
 from contentcf.data import MovieProfile, ProfileSource, RatingColumns
 from contentcf.ingest import (
     FetchError,
+    FetchLogEntry,
     FetchOutcome,
     assemble_profiles,
     build_sparql_query,
@@ -465,48 +466,51 @@ class TestAssembleProfiles:
         3: ("Heat (1995)", ("Action", "Crime")),
     }
 
-    def test_dataset_only(self):
-        store = assemble_profiles(self.MOVIES)
-        assert len(store) == 3
-        p = store.get(1)
-        assert p.genres == {"Animation", "Comedy"}
-        assert p.directors == frozenset()
-        assert p.source is ProfileSource.DATASET
-        assert store.fetch_log[1].status == "dataset-only"
+    OVERRIDE = MovieProfile(
+        item_id=1,
+        title="ignored",
+        genres=frozenset({"Horror"}),
+        directors=frozenset({"OD"}),
+        actors=frozenset({"OA", "OB"}),
+        source=ProfileSource.OVERRIDE,
+    )
+    FETCHES = {
+        "none": None,
+        "ok": FetchOutcome(
+            1, "Toy Story", "ok", directors=frozenset({"D"}),
+            actors=frozenset({"C", "A", "B"}), multi_title=True,
+        ),
+        "not-found": FetchOutcome(1, "Toy Story", "not-found"),
+        "failed": FetchOutcome(1, "Toy Story", "failed"),
+    }
 
-    def test_fetch_fills_people(self):
-        fetched = {
-            1: FetchOutcome(1, "Toy Story", "ok", directors=frozenset({"D"}), actors=frozenset({"A"})),
-            2: FetchOutcome(2, "Jumanji", "not-found"),
-            3: FetchOutcome(3, "Heat", "failed"),
-        }
-        store = assemble_profiles(self.MOVIES, fetched=fetched)
-        assert store.get(1).directors == {"D"}
-        assert store.get(1).source is ProfileSource.LINKED_DATA
-        assert store.fetch_log[1].status == "fetched-ok"
-        assert store.fetch_log[2].status == "not-found"
-        assert store.fetch_log[3].status == "fetch-failed"
-
-    def test_override_beats_fetch_keeps_dataset_genres(self):
-        fetched = {
-            1: FetchOutcome(1, "Toy Story", "ok", directors=frozenset({"D"}), actors=frozenset({"A"}))
-        }
-        overrides = [
-            MovieProfile(
-                item_id=1,
-                title="ignored",
-                genres=frozenset({"Horror"}),
-                directors=frozenset({"OD"}),
-                actors=frozenset({"OA"}),
-                source=ProfileSource.OVERRIDE,
-            )
-        ]
-        store = assemble_profiles(self.MOVIES, fetched=fetched, overrides=overrides)
-        p = store.get(1)
-        assert p.directors == {"OD"}
-        assert p.actors == {"OA"}
-        assert p.genres == {"Animation", "Comedy"}  # dataset genres always win
-        assert store.fetch_log[1].status == "overridden"
+    @pytest.mark.parametrize("cap", [None, 1])
+    @pytest.mark.parametrize("fetch", ["none", "ok", "not-found", "failed"])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_precedence(self, override, fetch, cap):
+        # Override beats a successful fetch, which beats the dataset; title and
+        # genres always come from the dataset, and the cap trims fetched actors only.
+        fo = self.FETCHES[fetch]
+        store = assemble_profiles(
+            self.MOVIES,
+            fetched=None if fo is None else {1: fo},
+            overrides=[self.OVERRIDE] if override else None,
+            linked_actor_cap=cap,
+        )
+        if override:
+            people = ({"OD"}, {"OA", "OB"})
+            source, entry = ProfileSource.OVERRIDE, FetchLogEntry("overridden")
+        elif fetch == "ok":
+            people = ({"D"}, {"A"} if cap == 1 else {"A", "B", "C"})
+            source, entry = ProfileSource.LINKED_DATA, FetchLogEntry("fetched-ok", True)
+        else:
+            people = (set(), set())
+            status = {"none": "dataset-only", "not-found": "not-found", "failed": "fetch-failed"}
+            source, entry = ProfileSource.DATASET, FetchLogEntry(status[fetch])
+        assert store.get(1) == MovieProfile(
+            1, "Toy Story (1995)", frozenset({"Animation", "Comedy"}), *people, source=source
+        )
+        assert store.fetch_log[1] == entry
 
     def test_idempotent(self):
         fetched = {1: FetchOutcome(1, "T", "ok", directors=frozenset({"D"}))}
@@ -551,6 +555,19 @@ class TestPersistence:
         save_profiles(store, a)
         save_profiles(store, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_record_layout(self, tmp_path):
+        profiles, fetched = tmp_path / "profiles.jsonl", tmp_path / "fetched.jsonl"
+        save_profiles(self._store(), profiles)
+        save_fetched([FetchOutcome(1, "Toy Story", "ok", actors=frozenset({"B", "A"}))], fetched)
+        assert profiles.read_text().splitlines()[0] == (
+            '{"actors":["A1","A2"],"directors":["Dir"],"genres":["Animation","Comedy"],'
+            '"item_id":1,"source":"linked-data","title":"Toy Story (1995)"}'
+        )
+        assert fetched.read_text() == (
+            '{"actors":["A","B"],"directors":[],"item_id":1,"multi_title":false,'
+            '"status":"ok","title":"Toy Story"}\n'
+        )
 
     def test_fetched_roundtrip(self, tmp_path):
         outcomes = [
@@ -617,6 +634,31 @@ class TestJsonLinesRecords:
         ):
             load(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("item_id", [1], "item_id is not an integer or a string"),
+            ("item_id", True, "item_id is not an integer or a string"),
+            ("item_id", 1.0, "item_id is not an integer or a string"),
+            ("item_id", None, "item_id is not an integer or a string"),
+            ("title", 5, "title is not a string"),
+            ("title", ["T"], "title is not a string"),
+            ("title", None, "title is not a string"),
+        ],
+    )
+    def test_field_of_wrong_type_rejected_with_its_number(
+        self, tmp_path, loader, field, value, message
+    ):
+        _, record, _ = LOADERS[loader]
+        load, path = self._write(tmp_path, loader, json.dumps({**record, field: value}))
+        with pytest.raises(ValueError, match=f"{path.name}: line 2: {message}"):
+            load(path)
+
+    def test_string_item_id_loads(self, tmp_path, loader):
+        _, record, _ = LOADERS[loader]
+        load, path = self._write(tmp_path, loader, json.dumps({**record, "item_id": "m1"}))
+        assert len(load(path)) == 2
+
     def test_missing_required_field_rejected_with_its_number(self, tmp_path, loader):
         _, record, required = LOADERS[loader]
         load, path = self._write(
@@ -624,3 +666,21 @@ class TestJsonLinesRecords:
         )
         with pytest.raises(ValueError, match=f"{path.name}: line 2: record lacks {required}"):
             load(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("status", "bogus", "status is not one of ok, not-found, failed"),
+        ("status", None, "status is not one of ok, not-found, failed"),
+        ("status", ["ok"], "status is not one of ok, not-found, failed"),
+        ("multi_title", "false", "multi_title is not a boolean"),
+        ("multi_title", 1, "multi_title is not a boolean"),
+        ("multi_title", None, "multi_title is not a boolean"),
+    ],
+)
+def test_fetched_status_and_multi_title_checked(tmp_path, field, value, message):
+    path = tmp_path / "fetched.jsonl"
+    path.write_text(json.dumps({"item_id": 1, "status": "ok", field: value}) + "\n")
+    with pytest.raises(ValueError, match=f"{path.name}: line 1: {message}"):
+        load_fetched(path)
