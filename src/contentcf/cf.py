@@ -394,9 +394,7 @@ def predict(
     check_choice("denominator", denominator, _DENOMINATORS)
     if neighbors.target_item != target or neighbors.active_user != a:
         raise ValueError("neighbor set does not match the requested user/item pair")
-    if not matrix.has_user(a):
-        raise KeyError(f"active user {a!r} has no training ratings")
-    mean_a = matrix.mean_of(a)
+    mean_a = matrix.mean_of(a)  # KeyError for a user without training ratings
 
     n = len(neighbors)
     sums = _running_sums(neighbors.neighbors, a, target, matrix)

@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="predict one user's rating for one movie, trained on the full file")
     p.add_argument("--user", required=True, type=int, help="active user id")
     p.add_argument("--item", required=True, type=int, help="target movie id")
-    p.add_argument("--k", type=int, help="neighborhood size (default 50)")
+    p.add_argument("--k", type=_parse_k_list, help="neighborhood size (default 50)")
 
     return parser
 
@@ -178,18 +178,16 @@ def _cmd_build_profiles(args, config) -> int:
     return 0
 
 
-def _run_config(args, config) -> RunConfig:
+def _run_config(args, config, default_k: tuple[int, ...] = (5, 10, 20, 30, 50)) -> RunConfig:
     k = _setting(args, config, "k")
     if isinstance(k, str):
         k = _parse_k_list(k)
-    elif isinstance(k, int):
-        k = (k,)
     min_sim = _setting(args, config, "min-sim")
     sample_test = _setting(args, config, "sample-test")
     workers = _setting(args, config, "workers")
     return RunConfig(
         method=_setting(args, config, "method", "pc"),
-        k_values=k or (5, 10, 20, 30, 50),
+        k_values=k or default_k,
         seed=int(_setting(args, config, "seed", 42)),
         k0_branch=_setting(args, config, "k0-branch", "mv"),
         denominator=_setting(args, config, "denominator", "abs"),
@@ -224,14 +222,15 @@ def _cmd_evaluate(args, config) -> int:
 
 
 def _cmd_predict(args, config) -> int:
-    cfg = _run_config(args, config)
+    cfg = _run_config(args, config, default_k=(50,))
+    if len(cfg.k_values) != 1:
+        raise ValueError(f"predict takes one k, got {list(cfg.k_values)}")
     ratings = ingest.parse_ratings(_require_file(_ratings_path(args, config)))
     matrix = build_matrix(ratings)
     if not matrix.has_user(args.user):
         raise SystemExit(f"error: unknown user {args.user}")
     if not matrix.has_item(args.item):
         raise SystemExit(f"error: unknown item {args.item}")
-    k = int(_setting(args, config, "k", 50))
 
     weights = None
     if cfg.method == "wpc":
@@ -239,7 +238,7 @@ def _cmd_predict(args, config) -> int:
         calc = WeightCalculator(store, k0_branch=cfg.k0_branch)
         weights = calc.weights_for(args.item, matrix.ratings_of(args.user).keys())
     neighbors = select_neighbors(
-        args.user, args.item, matrix, k, weights=weights, min_sim=cfg.min_sim
+        args.user, args.item, matrix, cfg.k_values[0], weights=weights, min_sim=cfg.min_sim
     )
     result = predict(args.user, args.item, neighbors, matrix, denominator=cfg.denominator)
     logger.info(

@@ -219,6 +219,9 @@ class RatingMatrix:
     turned into columns first) and canonicalizes them by sorting on (user,
     item), so the same rating set yields bit-identical means regardless of
     input order.
+
+    A masked matrix (``_masked``, a fold's training set) keeps its source's
+    ``users`` and ``items``; an id left without an entry is absent by its zero count.
     """
 
     def __init__(self, ratings: Iterable[Rating]):
@@ -237,34 +240,32 @@ class RatingMatrix:
         if dup.size:
             pair = (users[u_idx[dup[0]]], items[i_idx[dup[0]]])
             raise ValueError(f"duplicate rating for user/item pair {pair!r}")
-        self._build(users, items, u_idx, i_idx, vals)
-
-    def _build(self, users: tuple, items: tuple, u_idx, i_idx, vals) -> None:
-        """Index distinct entries, given in (user, item) order, of every user and item."""
         self._users: tuple[UserId, ...] = users
         self._items: tuple[ItemId, ...] = items
         self._uindex: dict[UserId, int] = {u: i for i, u in enumerate(users)}
         self._iindex: dict[ItemId, int] = {m: i for i, m in enumerate(items)}
+        self._build(u_idx, i_idx, vals, np.argsort(i_idx, kind="stable"))
 
-        n_users, n_items = len(users), len(items)
-        self._uptr = np.zeros(n_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(u_idx, minlength=n_users), out=self._uptr[1:])
-        self._uitems = i_idx
-        self._uvals = vals
-
-        order_i = np.argsort(i_idx, kind="stable")
-        self._iptr = np.zeros(n_items + 1, dtype=np.int64)
-        np.cumsum(np.bincount(i_idx, minlength=n_items), out=self._iptr[1:])
-        self._iusers = u_idx[order_i]
-        self._ivals = vals[order_i]
+    def _build(self, u_idx, i_idx, vals, by_item) -> None:
+        """Index entries, given in (user, item) order, over this matrix's ids;
+        ``by_item`` is their item-major permutation."""
+        ucount = np.bincount(u_idx, minlength=len(self._users))
+        icount = np.bincount(i_idx, minlength=len(self._items))
+        self._uptr = np.concatenate(([0], np.cumsum(ucount)))
+        self._uitems, self._uvals = i_idx, vals
+        self._iptr = np.concatenate(([0], np.cumsum(icount)))
+        self._by_item = by_item
+        self._iusers, self._ivals = u_idx[by_item], vals[by_item]
+        # Counts as lists, so a presence check is a plain read; the trailing 0
+        # is the count of an unknown id, looked up at index -1.
+        self._ucount, self._icount = ucount.tolist() + [0], icount.tolist() + [0]
 
         # bincount accumulates strictly sequentially in (user, item) order, so
         # means are bit-identical to a naive sorted summation; pairwise schemes
         # (np.sum, reduceat) can differ by an ULP, which matters at exact-tie
-        # similarity boundaries downstream.
-        counts = np.diff(self._uptr)
-        sums = np.bincount(u_idx, weights=vals, minlength=n_users)
-        self._umeans = sums / counts
+        # similarity boundaries downstream. An absent user's mean is NaN.
+        sums = np.bincount(u_idx, weights=vals, minlength=len(self._users))
+        self._umeans = np.divide(sums, ucount, out=np.full(sums.size, np.nan), where=ucount > 0)
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(user index, item index, value) of every entry, in (user, item) order."""
@@ -273,18 +274,14 @@ class RatingMatrix:
 
     def _masked(self, keep: np.ndarray) -> RatingMatrix:
         """The matrix of the entries flagged in ``keep`` (one flag per entry, in
-        (user, item) order); users and items left without an entry drop out."""
-        u_idx, i_idx, vals = (column[keep] for column in self._entries())
-        u_used = np.bincount(u_idx, minlength=len(self._users)) > 0
-        i_used = np.bincount(i_idx, minlength=len(self._items)) > 0
+        (user, item) order), in this matrix's index space: ids and index dicts
+        are shared, ids left without an entry are absent by their zero count,
+        and the item-major order is this one's, masked, with no sort."""
         sub = object.__new__(RatingMatrix)
-        sub._build(
-            tuple(self._users[u] for u in np.flatnonzero(u_used)),
-            tuple(self._items[i] for i in np.flatnonzero(i_used)),
-            (np.cumsum(u_used) - 1)[u_idx],
-            (np.cumsum(i_used) - 1)[i_idx],
-            vals,
-        )
+        sub._users, sub._items = self._users, self._items
+        sub._uindex, sub._iindex = self._uindex, self._iindex
+        by_item = (np.cumsum(keep) - 1)[self._by_item[keep[self._by_item]]]
+        sub._build(*(column[keep] for column in self._entries()), by_item)
         return sub
 
     # -- sizes and identifiers ------------------------------------------------
@@ -302,20 +299,20 @@ class RatingMatrix:
         return self._items
 
     def has_user(self, user_id: UserId) -> bool:
-        return user_id in self._uindex
+        return self._ucount[self._uindex.get(user_id, -1)] > 0
 
     def has_item(self, item_id: ItemId) -> bool:
-        return item_id in self._iindex
+        return self._icount[self._iindex.get(item_id, -1)] > 0
 
     # -- per-user / per-item views ---------------------------------------------
 
     @functools.cached_property
     def user_means(self) -> Mapping[UserId, float]:
-        return {u: self.mean_of(u) for u in self._users}
+        return {u: self.mean_of(u) for u in self._users if self.has_user(u)}
 
     @functools.cached_property
     def item_raters(self) -> Mapping[ItemId, frozenset[UserId]]:
-        return {m: self.raters_of(m) for m in self._items}
+        return {m: self.raters_of(m) for m in self._items if self.has_item(m)}
 
     def mean_of(self, user_id: UserId) -> float:
         return float(self._umeans[self._user_index(user_id)])
@@ -335,29 +332,26 @@ class RatingMatrix:
 
     def rating(self, user_id: UserId, item_id: ItemId) -> float | None:
         """The stored value for (user, item), or None when absent."""
-        i = self._uindex.get(user_id)
-        j = self._iindex.get(item_id)
-        if i is None or j is None:
+        if not (self.has_user(user_id) and self.has_item(item_id)):
             return None
-        lo, hi = self._uptr[i], self._uptr[i + 1]
-        pos = lo + np.searchsorted(self._uitems[lo:hi], j)
-        if pos < hi and self._uitems[pos] == j:
-            return float(self._uvals[pos])
-        return None
+        j = self._iindex[item_id]
+        items, vals = self._user_row(self._uindex[user_id])
+        pos = np.searchsorted(items, j)
+        return float(vals[pos]) if pos < items.size and items[pos] == j else None
 
     # -- index-level access (similarity kernels) --------------------------------
 
     def _user_index(self, user_id: UserId) -> int:
-        try:
-            return self._uindex[user_id]
-        except KeyError:
-            raise KeyError(f"unknown user {user_id!r}") from None
+        i = self._uindex.get(user_id, -1)
+        if not self._ucount[i]:
+            raise KeyError(f"unknown user {user_id!r}")
+        return i
 
     def _item_index(self, item_id: ItemId) -> int:
-        try:
-            return self._iindex[item_id]
-        except KeyError:
-            raise KeyError(f"unknown item {item_id!r}") from None
+        j = self._iindex.get(item_id, -1)
+        if not self._icount[j]:
+            raise KeyError(f"unknown item {item_id!r}")
+        return j
 
     def _user_row(self, uix: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._uptr[uix], self._uptr[uix + 1]

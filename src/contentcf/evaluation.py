@@ -7,9 +7,10 @@ as total absolute error over total predictions.
 
 The split builds the run's one ``RatingMatrix`` and labels each entry with a
 fold. A fold's held-out rows are its entries, in (user, item) order; its
-training set is the sub-matrix of the other entries. Batches of rows are
-evaluated in parallel into arrays aligned to the rows and reduced in that
-order, so reports are identical for any worker count.
+training matrix is the run's matrix with them masked out, in the run's index
+space, where an id left without a training entry is absent by its zero
+count. Batches of rows are evaluated in parallel into arrays aligned to the
+rows and reduced in that order, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -95,31 +96,38 @@ def split_folds(
     per-item fold counts differ by at most one and the assignment depends
     only on the rating set and the seed, never on input order.
     """
-    if not 1 <= n_folds <= np.iinfo(np.int8).max:
-        raise ValueError(f"n_folds must be in [1, 127], got {n_folds}")
-    matrix = build_matrix(ratings)
-    fold = np.empty(matrix.n_ratings, dtype=np.int8)
-    # Entries grouped by item, each item's raters in ascending user order.
-    by_item = np.argsort(matrix._uitems, kind="stable")
-    bounds = matrix._iptr.tolist()
-    for item_id, lo, hi in zip(matrix.items, bounds, bounds[1:]):
-        rng = np.random.default_rng([_FOLD_STREAM, _entropy_int(seed), _entropy_int(item_id)])
-        perm = rng.permutation(hi - lo)
-        start = int(rng.integers(n_folds))
-        fold[by_item[lo + perm]] = (start + np.arange(hi - lo)) % n_folds
-    return FoldAssignment(seed=seed, matrix=matrix, fold=fold, n_folds=n_folds)
+
+    def deal(matrix: RatingMatrix, fold: np.ndarray) -> None:
+        # The item-major order lists each item's raters in ascending user order.
+        bounds = matrix._iptr.tolist()
+        for item_id, lo, hi in zip(matrix.items, bounds, bounds[1:]):
+            rng = np.random.default_rng([_FOLD_STREAM, _entropy_int(seed), _entropy_int(item_id)])
+            perm = rng.permutation(hi - lo)
+            start = int(rng.integers(n_folds))
+            fold[matrix._by_item[lo + perm]] = (start + np.arange(hi - lo)) % n_folds
+
+    return _split(ratings, seed, n_folds, deal)
 
 
 def _split_global(
     ratings: Iterable[Rating], seed: int, n_folds: int = N_FOLDS
 ) -> FoldAssignment:
     """Unstratified alternative: one global shuffle, dealt round-robin."""
+
+    def deal(matrix: RatingMatrix, fold: np.ndarray) -> None:
+        rng = np.random.default_rng([_GLOBAL_STREAM, _entropy_int(seed)])
+        fold[rng.permutation(fold.size)] = np.arange(fold.size) % n_folds
+
+    return _split(ratings, seed, n_folds, deal)
+
+
+def _split(ratings: Iterable[Rating], seed: int, n_folds: int, deal) -> FoldAssignment:
+    """The run's matrix with its entries labelled by ``deal(matrix, fold)``."""
     if not 1 <= n_folds <= np.iinfo(np.int8).max:
         raise ValueError(f"n_folds must be in [1, 127], got {n_folds}")
     matrix = build_matrix(ratings)
-    rng = np.random.default_rng([_GLOBAL_STREAM, _entropy_int(seed)])
     fold = np.empty(matrix.n_ratings, dtype=np.int8)
-    fold[rng.permutation(fold.size)] = np.arange(fold.size) % n_folds
+    deal(matrix, fold)
     return FoldAssignment(seed=seed, matrix=matrix, fold=fold, n_folds=n_folds)
 
 

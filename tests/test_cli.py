@@ -88,6 +88,8 @@ class TestEvaluateCommand:
             rows = list(csv.reader(fh))
         assert len(rows) == 6
         assert [r[0] for r in rows[1:]] == ["wpc"] * 5
+        # Each k keeps its own fallback count.
+        assert [r[-2] for r in rows[1:]] == ["8", "7", "7", "7", "7"]
 
     def test_wpc_without_profiles_is_usage_error(self, dataset):
         with pytest.raises(SystemExit):
@@ -150,6 +152,27 @@ class TestPredictCommand:
         )
         assert rc == 0
         assert 1.0 <= float(capsys.readouterr().out.strip()) <= 5.0
+
+    def test_k_from_flag_config_file_or_default(self, dataset, capsys):
+        cfg = dataset / "run.cfg"
+        cfg.write_text("k=1\n")
+        base = ["predict", "--data-dir", str(dataset), "--user", "1", "--item", "2"]
+        outputs = []
+        for extra in (["--config", str(cfg)], ["--k", "1"], [], ["--k", "50"]):
+            assert main(base + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        # k=1 and the default k=50 predict differently here.
+        assert outputs[0] == outputs[1] != outputs[2] == outputs[3]
+
+    def test_config_file_k_list_rejected(self, dataset, caplog):
+        cfg = dataset / "run.cfg"
+        cfg.write_text("k=5,10\n")
+        rc = main(
+            ["predict", "--data-dir", str(dataset), "--config", str(cfg),
+             "--user", "1", "--item", "2"]
+        )
+        assert rc == 1
+        assert "predict takes one k" in caplog.text
 
     def test_wpc_prediction(self, dataset, capsys):
         profiles = build_profiles(dataset)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contentcf.cf import pearson, rank_candidates
 from contentcf.data import MovieProfile, ProfileSource, Rating, RatingColumns, build_matrix
 from contentcf.ingest import parse_ratings
 from conftest import as_ratings, rating_triples
@@ -85,29 +86,87 @@ def test_matrix_input_order_irrelevant(triples):
     assert forward.item_raters == backward.item_raters
 
 
-_MATRIX_ARRAYS = ("_uptr", "_uitems", "_uvals", "_iptr", "_iusers", "_ivals", "_umeans")
+_MATRIX_ARRAYS = (
+    "_uptr", "_uitems", "_uvals", "_iptr", "_by_item", "_iusers", "_ivals", "_umeans"
+)
+
+
+def _masked_and_fresh(triples, data):
+    """(full matrix, a random sub-matrix of it, the matrix built from the kept
+    ratings or None when none is kept)."""
+    full = build_matrix(as_ratings(triples))
+    flags = st.lists(st.booleans(), min_size=len(triples), max_size=len(triples))
+    keep = np.asarray(data.draw(flags), dtype=bool)
+    # Entries are in (user, item) order, as the sorted triples are.
+    kept = [t for t, k in zip(triples, keep) if k]
+    return full, full._masked(keep), build_matrix(as_ratings(kept)) if kept else None
+
+
+def _answer(fn, *args):
+    """``fn(*args)``, or the message of the KeyError it raises."""
+    try:
+        return fn(*args)
+    except KeyError as exc:
+        return f"KeyError: {exc}"
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=150)
 @given(rating_triples(max_ratings=50), st.data())
 def test_masked_submatrix_equals_a_fresh_build(triples, data):
-    """A masked sub-matrix is, to the bit, the matrix built from the kept ratings."""
-    full = build_matrix(as_ratings(triples))
-    flags = st.lists(st.booleans(), min_size=len(triples), max_size=len(triples))
-    keep = np.asarray(data.draw(flags), dtype=bool)
-    sub = full._masked(keep)
-    if not keep.any():
-        assert (sub.users, sub.items, sub.n_ratings) == ((), (), 0)
-        assert not sub.has_user(triples[0][0])
+    """A masked sub-matrix keeps the full matrix's index space and is, mapped
+    to a fresh build's indices, that build to the bit; every id of the full
+    matrix looks up as on the fresh build."""
+    full, sub, fresh = _masked_and_fresh(triples, data)
+    assert sub.users is full.users and sub.items is full.items
+    assert sub._uindex is full._uindex and sub._iindex is full._iindex
+    if fresh is None:
+        assert sub.n_ratings == 0 and sub.user_means == {} and sub.item_raters == {}
+        assert not any(map(sub.has_user, full.users))
+        assert not any(map(sub.has_item, full.items))
+        assert _answer(sub.mean_of, triples[0][0]) == f"KeyError: 'unknown user {triples[0][0]!r}'"
         return
-    # Entries are in (user, item) order, as the sorted triples are.
-    fresh = build_matrix(as_ratings([t for t, k in zip(triples, keep) if k]))
-    assert sub.users == fresh.users
-    assert sub.items == fresh.items
-    assert sub.n_ratings == fresh.n_ratings
-    for name in _MATRIX_ARRAYS:
-        a, b = getattr(sub, name), getattr(fresh, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for u in full.users:
+        for lookup in ("has_user", "mean_of", "ratings_of"):
+            assert _answer(getattr(sub, lookup), u) == _answer(getattr(fresh, lookup), u)
+        for i in full.items:
+            assert sub.rating(u, i) == fresh.rating(u, i)
+    for i in full.items:
+        for lookup in ("has_item", "raters_of"):
+            assert _answer(getattr(sub, lookup), i) == _answer(getattr(fresh, lookup), i)
+    assert sub.user_means == fresh.user_means
+    assert sub.item_raters == fresh.item_raters
+
+    # Each full index's index in the fresh build, -1 where absent.
+    u_map = np.array([fresh._uindex.get(u, -1) for u in full.users], dtype=np.int64)
+    i_map = np.array([fresh._iindex.get(i, -1) for i in full.items], dtype=np.int64)
+    u_counts, i_counts = np.diff(sub._uptr), np.diff(sub._iptr)
+    assert _same(u_counts[u_map >= 0], np.diff(fresh._uptr)) and not u_counts[u_map < 0].any()
+    assert _same(i_counts[i_map >= 0], np.diff(fresh._iptr)) and not i_counts[i_map < 0].any()
+    assert _same(i_map[sub._uitems], fresh._uitems) and _same(sub._uvals, fresh._uvals)
+    assert _same(u_map[sub._iusers], fresh._iusers) and _same(sub._ivals, fresh._ivals)
+    assert _same(sub._umeans[u_map >= 0], fresh._umeans)
+    assert np.isnan(sub._umeans[u_map < 0]).all()
+
+
+@settings(max_examples=100)
+@given(rating_triples(max_ratings=50), st.data())
+def test_masked_submatrix_ranks_as_a_fresh_build(triples, data):
+    """Rankings, exact ties in their order included, and pair correlations
+    over a sub-matrix equal those over the fresh build of its ratings."""
+    full, sub, fresh = _masked_and_fresh(triples, data)
+    if fresh is None:
+        return
+    for a in full.users:
+        for target in full.items:
+            assert _answer(rank_candidates, a, target, sub) == _answer(
+                rank_candidates, a, target, fresh
+            )
+        for u in full.users:
+            assert _answer(pearson, a, u, sub) == _answer(pearson, a, u, fresh)
 
 
 class TestRatingColumns:

@@ -210,6 +210,18 @@ class TestRunExperiment:
         assert reports[0].fallbacks == exp_fb
         assert reports[0].skipped == exp_skip
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_per_k_fallbacks_match_protocol_oracle(self, workers):
+        # On this data the fallback count differs across k.
+        triples = synthetic_dataset(seed=3)
+        rs = as_ratings(triples)
+        k_values = (1, 2, 3)
+        cfg = RunConfig(method="pc", k_values=k_values, seed=3, workers=workers)
+        reports = run_experiment(rs, cfg)
+        expected = naive_evaluate(triples, split_folds(rs, seed=3).fold_of, 5, k_values)
+        assert [r.fallbacks for r in reports] == [expected[k][2] for k in k_values]
+        assert len({r.fallbacks for r in reports}) > 1
+
     def test_repeated_runs_identical(self):
         rs = as_ratings(synthetic_dataset(seed=3))
         cfg = RunConfig(method="pc", k_values=(3, 5), seed=2, workers=1)
