@@ -6,11 +6,12 @@ predicted from the other four folds. Accuracy is mean absolute error, pooled
 as total absolute error over total predictions.
 
 The split builds the run's one ``RatingMatrix`` and labels each entry with a
-fold. A fold's held-out rows are its entries, in (user, item) order; its
-training matrix is the run's matrix with them masked out, in the run's index
-space, where an id left without a training entry is absent by its zero
-count. Batches of rows are evaluated in parallel into arrays aligned to the
-rows and reduced in that order, so reports are identical for any worker count.
+fold. Held-out rows travel as entry indices of that matrix, in (user, item)
+order, in one task list (fold, chunk) per run, served in-process or by one
+worker pool. Each process builds a fold's training matrix on its first task of
+that fold: the run's matrix with the fold masked out, in its index space, where
+an id left without a training entry is absent by its zero count. Results are
+reduced in task order, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import logging
 import math
 import multiprocessing
@@ -144,7 +146,7 @@ class RunConfig:
     """Everything an evaluation run depends on besides the data itself.
 
     Every field is checked here, whether it came from a flag, a config file
-    or a caller. ``workers=None`` uses every core.
+    or a caller. ``workers=None`` uses every CPU this process may run on.
     """
 
     method: Method = "pc"
@@ -182,7 +184,10 @@ class RunConfig:
 
     @property
     def effective_workers(self) -> int:
-        return self.workers if self.workers else (os.cpu_count() or 1)
+        if self.workers:
+            return self.workers
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -198,58 +203,64 @@ class ExperimentReport:
     skipped: int
 
 
-# -- per-fold evaluation core --------------------------------------------------
-
-Rows = tuple[list[UserId], list[ItemId], list[float]]  # user, item, actual rating
+# -- evaluation core ------------------------------------------------------------
 
 _worker: dict = {}
 
 
-def _init_worker(matrix, calculator, config) -> None:
-    _worker.update(matrix=matrix, calculator=calculator, config=config)
+def _init_worker(evaluate) -> None:
+    _worker["evaluate"] = evaluate
 
 
-def _eval_chunk(rows: Rows):
-    return _eval_ratings(rows=rows, **_worker)
+def _eval_chunk(task):
+    return _worker["evaluate"](task)
 
 
-def _eval_ratings(
-    matrix: RatingMatrix,
-    calculator: WeightCalculator | None,
-    config: RunConfig,
-    rows: Rows,
-):
-    """Predict a batch of held-out ratings.
+def _fold_evaluator(folds: FoldAssignment, entries, calculator, config: RunConfig):
+    """The evaluator of tasks (fold, held-out indices into the run matrix's ``entries``).
+    It builds a fold's training matrix on its first task of that fold and keeps the latest."""
+    latest: dict[int, RatingMatrix] = {}
+
+    def evaluate(task):
+        f, held = task
+        if f not in latest:
+            latest.clear()
+            # A fold holding every rating leaves an empty matrix: every row is skipped.
+            latest[f] = folds.matrix._masked(folds.fold != f)
+        return _eval_ratings(latest[f], calculator, config, tuple(col[held] for col in entries))
+
+    return evaluate
+
+
+def _eval_ratings(matrix: RatingMatrix, calculator: WeightCalculator | None, config, rows):
+    """Predict a batch of held-out ratings: (user index, item index, value)
+    arrays in the matrix's index space.
 
     Returns arrays aligned to the rows: |error| per k, fallback flag per k,
     and whether the row was predicted. A skipped row (user absent from
     training) has error 0 and no fallback.
     """
-    users, items, actuals = rows
+    users, items, actuals = (col.tolist() for col in rows)
     errors = np.zeros((len(config.k_values), len(actuals)))
     fallbacks = np.zeros(errors.shape, dtype=bool)
     predicted = np.zeros(len(actuals), dtype=bool)
+    current_user, user_items = -1, []
 
-    current_user: UserId | None = None
-    user_items: list[ItemId] = []
-
-    for row, (user_id, item_id, actual) in enumerate(zip(users, items, actuals)):
-        if not matrix.has_user(user_id):
+    for row, (u, i, actual) in enumerate(zip(users, items, actuals)):
+        if not matrix._ucount[u]:
             continue
-        if config.method == "wpc" and user_id != current_user:
-            current_user = user_id
-            user_row, _ = matrix._user_row(matrix._user_index(user_id))
+        user_id, item_id = matrix.users[u], matrix.items[i]
+        if calculator is not None and u != current_user:
+            current_user = u
+            user_row, _ = matrix._user_row(u)
             user_items = list(map(matrix.items.__getitem__, user_row.tolist()))
 
-        if not matrix.has_item(item_id):
-            ranked = EMPTY_RANKING
-        elif config.method == "wpc":
-            weights = calculator.weights_for(item_id, user_items)
+        ranked = EMPTY_RANKING
+        if matrix._icount[i]:
+            weights = None if calculator is None else calculator.weights_for(item_id, user_items)
             ranked = rank_candidates(
                 user_id, item_id, matrix, weights=weights, min_sim=config.min_sim
             )
-        else:
-            ranked = rank_candidates(user_id, item_id, matrix, min_sim=config.min_sim)
 
         predicted[row] = True
         for ki, k in enumerate(config.k_values):
@@ -261,15 +272,14 @@ def _eval_ratings(
     return errors, fallbacks, predicted
 
 
-def _chunk_bounds(user_rows: np.ndarray, n_chunks: int) -> list[int]:
-    """Cut points of consecutive chunks of about len/n_chunks rows, cut only
-    where the user changes; ``user_rows`` is each row's user, grouped."""
-    target = max(1, user_rows.size // max(1, n_chunks))
+def _chunks(held: np.ndarray, users: np.ndarray, n_chunks: int) -> list[np.ndarray]:
+    """``held`` in consecutive chunks of about len/n_chunks, cut where ``users[held]`` changes."""
+    target = max(1, held.size // n_chunks)
     cuts = [0]
-    for start in (np.flatnonzero(np.diff(user_rows)) + 1).tolist():
+    for start in (np.flatnonzero(np.diff(users[held])) + 1).tolist():
         if start - cuts[-1] >= target:
             cuts.append(start)
-    return cuts + [user_rows.size]
+    return np.split(held, cuts[1:]) if held.size else []
 
 
 def run_experiment(
@@ -291,15 +301,14 @@ def run_experiment(
 
     split = _split_global if config.split == "global" else split_folds
     folds = split(ratings, config.seed)
-    full = folds.matrix
     if calculator is not None:
-        unprofiled = [m for m in full.items if not calculator.has_profile(m)]
+        unprofiled = [m for m in folds.matrix.items if not calculator.has_profile(m)]
         if unprofiled:
             raise ValueError(
                 f"{len(unprofiled)} rated item(s) have no profile, "
                 f"e.g. {', '.join(map(repr, unprofiled[:5]))}"
             )
-    entry_users, entry_items, entry_values = full._entries()
+    entries = folds.matrix._entries()
 
     n_workers = config.effective_workers
     try:
@@ -307,50 +316,44 @@ def run_experiment(
     except ValueError:  # platforms without fork: evaluate serially
         n_workers = 1
 
-    # Per fold: |error| sums per k, fallbacks per k, predictions, held-out rows, MAE per k.
-    per_fold = []
+    # Tasks in fold order; a fold's held-out entries are in (user, item) order.
+    tasks = []
     for f in range(folds.n_folds):
-        in_fold = folds.fold == f
-        # Held-out entries, already in (user, item) order.
-        held = np.flatnonzero(in_fold)
+        held = np.flatnonzero(folds.fold == f)
         if config.sample_test is not None and held.size > config.sample_test:
             rng = np.random.default_rng([_SAMPLE_STREAM, _entropy_int(config.seed), f])
             picked = rng.choice(held.size, size=config.sample_test, replace=False)
             held = held[np.sort(picked)]
+        tasks += [(f, chunk) for chunk in _chunks(held, entries[0], 4 * n_workers)]
 
-        user_rows = entry_users[held]
-        rows: Rows = (
-            [full.users[u] for u in user_rows.tolist()],
-            [full.items[i] for i in entry_items[held].tolist()],
-            entry_values[held].tolist(),
-        )
-        # A fold holding every rating leaves an empty matrix: every row is skipped.
-        matrix = full._masked(~in_fold)
+    evaluate = _fold_evaluator(folds, entries, calculator, config)
+    n_workers = min(n_workers, len(tasks))  # a fork pool forks every worker at the first submit
+    if n_workers <= 1:
+        return _reports(config, folds.n_folds, tasks, map(evaluate, tasks))
+    # Fork hands the evaluator to the workers as it is, without pickling.
+    with ProcessPoolExecutor(
+        max_workers=n_workers, mp_context=ctx, initializer=_init_worker, initargs=(evaluate,)
+    ) as pool:
+        return _reports(config, folds.n_folds, tasks, pool.map(_eval_chunk, tasks))
 
-        if n_workers <= 1 or held.size < 2 * n_workers:
-            results = [_eval_ratings(matrix, calculator, config, rows)]
-        else:
-            cuts = _chunk_bounds(user_rows, n_chunks=4 * n_workers)
-            chunks = [tuple(col[lo:hi] for col in rows) for lo, hi in zip(cuts, cuts[1:])]
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=(matrix, calculator, config),
-            ) as pool:
-                results = list(pool.map(_eval_chunk, chunks))
-        # Chunks are consecutive and map keeps their order, so the
-        # concatenation is aligned to the fold's rows.
-        abs_err, fell, predicted = (np.concatenate(c, axis=-1) for c in zip(*results))
 
-        n_pred = int(predicted.sum())
+def _reports(config: RunConfig, n_folds: int, tasks, results) -> list[ExperimentReport]:
+    """Reduce the results in task order, each fold when its last task returns."""
+    n_k = len(config.k_values)
+    empty = (np.zeros((n_k, 0)), np.zeros((n_k, 0), dtype=bool), np.zeros(0, dtype=bool))
+    per_fold = []  # |error| sums per k, fallbacks per k, predictions, held-out rows, MAE per k
+    for f, n_tasks in enumerate(np.bincount([f for f, _ in tasks], minlength=n_folds).tolist()):
+        # Chunks are consecutive, so the concatenation is aligned to the fold's rows.
+        fold_results = itertools.islice(results, n_tasks)
+        abs_err, fell, predicted = (np.concatenate(c, axis=-1) for c in zip(empty, *fold_results))
+        n_pred, n_rows = int(predicted.sum()), predicted.size
         # Skipped rows hold 0, so these are the sums over the predicted rows.
         err_sums = np.sum(abs_err, axis=1)
         fold_mae = err_sums / (n_pred or np.nan)  # NaN for a fold without predictions
-        per_fold.append((err_sums, fell.sum(axis=1), n_pred, held.size, fold_mae))
+        per_fold.append((err_sums, fell.sum(axis=1), n_pred, n_rows, fold_mae))
         logger.info(
             "fold %d/%d (%s): %d predictions, %d skipped, mae per k %s",
-            f + 1, folds.n_folds, config.method, n_pred, held.size - n_pred,
+            f + 1, n_folds, config.method, n_pred, n_rows - n_pred,
             np.round(fold_mae, 4).tolist(),
         )
 
@@ -358,12 +361,9 @@ def run_experiment(
     total = int(n_preds.sum())
     return [
         ExperimentReport(
-            method=config.method,
-            k=k,
-            fold_maes=tuple(fold_maes[:, ki].tolist()),
+            method=config.method, k=k, fold_maes=tuple(fold_maes[:, ki].tolist()),
             mae=float(err_sums[:, ki].sum() / total) if total else float("nan"),
-            predictions=total,
-            fallbacks=int(fallbacks[:, ki].sum()),
+            predictions=total, fallbacks=int(fallbacks[:, ki].sum()),
             skipped=int(n_held.sum()) - total,
         )
         for ki, k in enumerate(config.k_values)
@@ -375,10 +375,7 @@ def run_experiment(
 
 def format_comparison_grid(reports: Sequence[ExperimentReport]) -> str:
     """Plain-text grid: one row per neighbor count, one MAE column per method."""
-    methods = []
-    for r in reports:
-        if r.method not in methods:
-            methods.append(r.method)
+    methods = list(dict.fromkeys(r.method for r in reports))
     cells = {(r.method, r.k): r.mae for r in reports}
     ks = sorted({r.k for r in reports})
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import logging
 from collections import Counter
 
 import numpy as np
@@ -296,13 +297,26 @@ class TestRunExperiment:
         reports = run_experiment(rs, cfg)
         assert reports[0].predictions + reports[0].skipped == len(rs)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("split", sorted(SPLITS))
-    def test_fold_holding_every_rating_skips_it(self, split):
+    def test_fold_holding_every_rating_skips_it(self, split, workers):
         # One rating: its fold trains on an empty matrix, every other fold holds nothing.
-        cfg = RunConfig(method="pc", k_values=(1,), seed=3, workers=1, split=split)
+        cfg = RunConfig(method="pc", k_values=(1,), seed=3, workers=workers, split=split)
         r = run_experiment(as_ratings([(1, 10, 4)]), cfg)[0]
         assert (r.predictions, r.fallbacks, r.skipped) == (0, 0, 1)
         assert all(np.isnan(m) for m in r.fold_maes) and np.isnan(r.mae)
+
+    @pytest.mark.parametrize("split", sorted(SPLITS))
+    def test_worker_count_does_not_change_degenerate_folds(self, split):
+        # Three ratings: three folds of one row each, two empty folds.
+        rs = as_ratings([(1, 10, 4), (2, 10, 2), (2, 11, 5)])
+        reports = [
+            run_experiment(rs, RunConfig(k_values=(1, 2), seed=3, workers=w, split=split))
+            for w in (1, 2)
+        ]
+        assert reports[0][0].predictions + reports[0][0].skipped == 3
+        # repr, because the empty folds' MAEs are NaN.
+        assert repr(reports[0]) == repr(reports[1])
 
     def test_counts_balance(self):
         rs = as_ratings(synthetic_dataset(seed=33))
@@ -312,6 +326,104 @@ class TestRunExperiment:
         assert len(r.fold_maes) == 5
         # Pooled MAE is the prediction-weighted mean of the fold MAEs.
         assert 0.0 <= r.mae <= 4.0
+
+
+class TestOnePoolPerRun:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The ``max_workers`` of each pool constructed."""
+        made = []
+
+        class RecordingPool(evaluation.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        return made
+
+    @pytest.fixture
+    def task_counts(self, monkeypatch):
+        counts = []
+        original = evaluation._chunks
+
+        def counting(*args, **kwargs):
+            chunks = original(*args, **kwargs)
+            counts.append(len(chunks))
+            return chunks
+
+        monkeypatch.setattr(evaluation, "_chunks", counting)
+        return counts
+
+    @pytest.fixture
+    def masked(self, monkeypatch):
+        calls = []
+        original = RatingMatrix._masked
+
+        def counting(self, keep):
+            calls.append(keep.size)
+            return original(self, keep)
+
+        monkeypatch.setattr(RatingMatrix, "_masked", counting)
+        return calls
+
+    def test_a_pooled_run_forks_one_pool_sized_by_the_tasks(self, pools, task_counts):
+        rs = as_ratings(synthetic_dataset(n_users=30, seed=17))
+        reports = run_experiment(rs, RunConfig(k_values=(3,), seed=2, workers=2))
+        assert len(reports[0].fold_maes) == 5 and len(task_counts) == 5
+        assert pools == [2] and 2 <= sum(task_counts)
+
+    def test_a_pool_has_no_more_workers_than_tasks(self, pools, task_counts):
+        rs = as_ratings([(1, 10, 4), (2, 10, 2), (2, 11, 5)])
+        run_experiment(rs, RunConfig(k_values=(1,), seed=3, workers=4))
+        assert sum(task_counts) == 3
+        assert pools == [3]
+
+    @pytest.mark.parametrize(
+        "triples, workers",
+        [(synthetic_dataset(), 1), ([(1, 10, 4)], 2)],
+        ids=["one-worker", "one-task"],
+    )
+    def test_no_pool_for_one_worker_or_one_task(self, pools, task_counts, triples, workers):
+        run_experiment(as_ratings(triples), RunConfig(k_values=(1,), seed=3, workers=workers))
+        assert workers == 1 or sum(task_counts) == 1
+        assert pools == []
+
+    @pytest.mark.parametrize("workers, parent_builds", [(1, 5), (2, 0)])
+    def test_fold_matrices_are_built_where_they_are_used(self, masked, workers, parent_builds):
+        rs = as_ratings(synthetic_dataset())
+        run_experiment(rs, RunConfig(k_values=(3,), seed=2, workers=workers))
+        assert len(masked) == parent_builds
+        assert evaluation._worker == {}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_chunk_leaves_no_worker_state(self, monkeypatch, workers):
+        def failing(*args):
+            raise RuntimeError("chunk failed")
+
+        monkeypatch.setattr(evaluation, "_eval_ratings", failing)
+        rs = as_ratings(synthetic_dataset())
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            run_experiment(rs, RunConfig(k_values=(3,), seed=2, workers=workers))
+        assert evaluation._worker == {}
+
+    def test_each_fold_is_logged_when_its_last_task_returns(
+        self, monkeypatch, caplog, task_counts
+    ):
+        caplog.set_level(logging.INFO, logger=evaluation.__name__)
+        logged_before = []
+        original = evaluation._eval_ratings
+
+        def recording(*args):
+            logged_before.append(len(caplog.records))
+            return original(*args)
+
+        monkeypatch.setattr(evaluation, "_eval_ratings", recording)
+        rs = as_ratings(synthetic_dataset(n_users=30, seed=17))
+        run_experiment(rs, RunConfig(k_values=(3,), seed=2, workers=1))
+        # A fold's tasks run after every earlier fold's line and before its own.
+        assert logged_before == [f for f, n in enumerate(task_counts) for _ in range(n)]
+        assert len(caplog.records) == 5 and max(task_counts) > 1
 
 
 def moderate_dataset(seed=5):
@@ -435,6 +547,16 @@ class TestModerateScale:
 
 
 class TestRunConfig:
+    def test_default_workers_follow_the_cpu_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert RunConfig().effective_workers == 1
+        assert RunConfig(workers=3).effective_workers == 3
+        monkeypatch.delattr(evaluation.os, "sched_getaffinity")
+        assert RunConfig().effective_workers == 2
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
+        assert RunConfig().effective_workers == 1
+
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.k_values == (5, 10, 20, 30, 50)
