@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -88,17 +89,23 @@ class ProfileStore:
 # Characters per parse block; each block is extended to the end of its last line.
 _BLOCK_CHARS = 1 << 20
 _INT64 = np.iinfo(np.int64)
+# The only bytes of a block the byte path parses.
+_PLAIN_BYTES = b"0123456789:\n"
+# Field digits on the byte path; 18 nines are below 2**63, so no field overflows.
+_MAX_DIGITS = 18
 
 
 def parse_ratings(path) -> RatingColumns:
     """Parse `UserID::MovieID::Rating::Timestamp` lines into columns, in file order.
 
-    The file is read in blocks of whole lines. Each block's fields go through
-    ``int`` into an int64 table, and the field count per line and the 1-5
-    range are checked on arrays. Blank lines are skipped. A file that fails
-    any check is rescanned line by line only to raise the error of its first
-    bad line, as ``path: line N: ...``. Ids and timestamps must fit in 64
-    bits.
+    The file is read in text mode, in blocks of whole lines. A block of plain
+    lines (four fields of 1-18 ASCII digits joined by ``::``, no blank lines)
+    takes a checked byte path: its layout is checked on arrays and numpy's C
+    reader parses it. Any other block's fields go through ``int``; both give
+    an int64 table and the same values. The 1-5 range is checked on the
+    columns. Blank lines are skipped. A file that fails any check is
+    rescanned line by line only to raise the error of its first bad line, as
+    ``path: line N: ...``. Ids and timestamps must fit in 64 bits.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -117,6 +124,48 @@ def parse_ratings(path) -> RatingColumns:
 def _parse_block(block: str) -> np.ndarray:
     """The (4, n) int64 fields of a block's non-blank lines; ValueError if a
     line does not have 4 fields or a field is not an integer."""
+    table = _digit_table(block.encode("ascii")) if block.isascii() else None
+    return _int_table(block) if table is None else table
+
+
+def _digit_table(data: bytes) -> np.ndarray | None:
+    """The (4, n) table of a block of n plain lines; None if any line is not plain."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    n = _plain_lines(data)
+    if n is None:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(data.replace(b"::", b" "), dtype=np.int64, sep=" ")
+        except (Warning, ValueError):
+            return None
+    return values.reshape(n, 4).T if values.size == 4 * n else None
+
+
+def _plain_lines(data: bytes) -> int | None:
+    """The line count of ``data`` if every line is ``d::d::d::d`` with 1-18
+    digits per field and ends with a newline; None otherwise. Its index arrays
+    are freed before the parse allocates, so they add nothing to its peak."""
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    colons = np.flatnonzero(raw == ord(":"))
+    ends = np.flatnonzero(raw == ord("\n"))
+    n = ends.size
+    if colons.size != 6 * n or (colons[1::2] - colons[::2] != 1).any():
+        return None
+    # Each line's separators: the previous line end, its three "::" and its
+    # own end. Fields of 1+ digits between them keep every pair on its line.
+    starts = np.concatenate(([-1], ends[:-1]))
+    marks = np.column_stack((starts, colons[::2].reshape(n, 3), ends))
+    digits = np.diff(marks, axis=1) - (1, 2, 2, 2)  # "\n" or "::" before a field
+    return n if 1 <= digits.min() and digits.max() <= _MAX_DIGITS else None
+
+
+def _int_table(block: str) -> np.ndarray:
+    """`_parse_block` through ``int``: any line shape ``int`` accepts."""
     lines = list(filter(None, block.split("\n")))
     seps = np.fromiter(map(str.count, lines, repeat("::")), dtype=np.int64, count=len(lines))
     if (seps != 3).any():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -171,6 +172,36 @@ def oracle_outcome(path):
     return rows
 
 
+BLOCK_CHARS = st.sampled_from([1, 7, 64, 1 << 20])
+
+
+def parse_outcome(path):
+    """``parse_ratings``' columns, or the ValueError it raised."""
+    try:
+        return parse_ratings(path)
+    except ValueError as exc:
+        return exc
+
+
+def assert_matches_oracle(path, block_chars):
+    """``parse_ratings`` at ``block_chars`` gives the oracle's rows or its error."""
+    want = oracle_outcome(path)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        got = parse_outcome(path)
+    if isinstance(want, list):
+        assert isinstance(got, RatingColumns), got
+        assert [(r.user_id, r.item_id, r.value, r.timestamp) for r in got] == want
+        arrays = (got.user_ids, got.item_ids, got.values, got.timestamps)
+        assert list(zip(*(a.tolist() for a in arrays))) == want
+        assert all(a.dtype == np.int64 for a in arrays)
+    else:
+        assert type(got) is ValueError
+        if "64-bit" in want:
+            assert str(got).startswith(want)
+        else:
+            assert str(got) == want
+
+
 @pytest.fixture(scope="module")
 def ratings_file(tmp_path_factory):
     return tmp_path_factory.mktemp("parse") / "ratings.dat"
@@ -181,27 +212,10 @@ class TestParseRatingsColumns:
     to a few characters, so that blocks end inside and between lines."""
 
     @settings(max_examples=400, deadline=None)
-    @given(text=ratings_text(), block_chars=st.sampled_from([1, 7, 64, 1 << 20]))
+    @given(text=ratings_text(), block_chars=BLOCK_CHARS)
     def test_same_rows_or_same_error_as_the_line_loop(self, ratings_file, text, block_chars):
         ratings_file.write_bytes(text.encode("utf-8"))
-        want = oracle_outcome(ratings_file)
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
-            try:
-                got = parse_ratings(ratings_file)
-            except ValueError as exc:
-                got = exc
-        if isinstance(want, list):
-            assert isinstance(got, RatingColumns), got
-            assert [(r.user_id, r.item_id, r.value, r.timestamp) for r in got] == want
-            arrays = (got.user_ids, got.item_ids, got.values, got.timestamps)
-            assert list(zip(*(a.tolist() for a in arrays))) == want
-            assert all(a.dtype == np.int64 for a in arrays)
-        else:
-            assert type(got) is ValueError
-            if "64-bit" in want:
-                assert str(got).startswith(want)
-            else:
-                assert str(got) == want
+        assert_matches_oracle(ratings_file, block_chars)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "ratings.dat"
@@ -250,6 +264,118 @@ class TestParseRatingsColumns:
         with pytest.raises(ValueError) as info:
             parse_ratings(path)
         assert info.value.__context__ is None
+
+
+@st.composite
+def digit_field(draw, values):
+    """A plain-digit field: the value zero-padded to at most 18 digits."""
+    text = str(draw(values))
+    return text.zfill(draw(st.integers(len(text), 18)))
+
+
+PLAIN_ID = digit_field(st.integers(0, 10**18 - 1))
+PLAIN_LINE = st.tuples(PLAIN_ID, PLAIN_ID, digit_field(st.integers(1, 5)), PLAIN_ID).map(
+    "::".join
+)
+
+
+@st.composite
+def plain_digit_text(draw):
+    """(text, plain): plain-digit lines with "\\n" or "\\r\\n" ends, with or
+    without a final one; unless ``plain``, one line from ANY_LINE among them."""
+    lines = draw(st.lists(PLAIN_LINE, min_size=1, max_size=25))
+    plain = draw(st.booleans())
+    if not plain:
+        lines.insert(draw(st.integers(0, len(lines))), draw(ANY_LINE))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), plain
+
+
+def columns_or_message(outcome):
+    """A parse outcome as comparable values: each column's dtype and values, or the error."""
+    if isinstance(outcome, ValueError):
+        return type(outcome), str(outcome)
+    arrays = (outcome.user_ids, outcome.item_ids, outcome.values, outcome.timestamps)
+    return [(a.dtype, a.tolist()) for a in arrays]
+
+
+class TestPlainDigitPath:
+    """A block of plain-digit lines takes the checked byte path; any other
+    block falls back to the ``int`` path, with the same outcome."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=plain_digit_text(), block_chars=BLOCK_CHARS)
+    def test_same_outcome_as_the_line_loop_and_plain_files_skip_int(
+        self, ratings_file, case, block_chars
+    ):
+        text, plain = case
+        ratings_file.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(ingest, "_int_table", wraps=ingest._int_table) as int_path:
+            assert_matches_oracle(ratings_file, block_chars)
+        if plain:
+            int_path.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1234567890123456789::2::3::4",  # 19 digits, within int64
+            "9999999999999999999::2::3::4",  # 19 digits, past int64
+            f"{INT64_MIN}::2::3::4",
+            "+1::2::3::4",
+            "1::-2::3::4",
+            "1:: 2::3::4",
+            "1::2\t::3::4",
+            "1:::2::3::4",
+            "1::::3::4",
+            "1::2::3::",
+            "1::2::3::4:",
+            "",
+            "1::2::3::4\r\r",  # a lone carriage return before the line end: a blank line
+            "1::2\r::3::4",  # one inside the line: two short lines
+            "1::2::\u0663::4",
+        ],
+    )
+    def test_other_lines_fall_back_to_the_int_path(self, tmp_path, line):
+        path = tmp_path / "ratings.dat"
+        path.write_bytes(f"1::1193::5::978300760\n{line}\n2::661::3::978302109\n".encode())
+        with mock.patch.object(ingest, "_digit_table", return_value=None):
+            want = parse_outcome(path)
+        with mock.patch.object(ingest, "_int_table", wraps=ingest._int_table) as int_path:
+            got = parse_outcome(path)
+        int_path.assert_called_once()
+        assert columns_or_message(got) == columns_or_message(want)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"1:2:3::4::5\n",  # six colons, not in adjacent pairs
+            b"1:::2::3::4\n1::2:3::4\n",  # six colons a line, not in pairs
+            b"1::2::3::4::5\n1::2::3\n",  # six pairs, not three a line
+            b"1::::3::4\n",
+            b"1::2::3::4\n\n",
+            b"\n",
+            b"1234567890123456789::2::3::4\n",
+            b"1::2::3::4 \n",
+        ],
+    )
+    def test_layout_checks_reject_before_the_c_reader(self, data):
+        assert ingest._plain_lines(data) is None
+
+    def test_numpy_text_reader_serves_plain_files_with_warnings_as_errors(self, tmp_path):
+        """A numpy that deprecates ``np.fromstring``'s text mode fails here,
+        instead of silently sending every block to the ``int`` path."""
+        path = tmp_path / "ratings.dat"
+        path.write_text("1::1193::5::978300760\n0002::661::3::978302109\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(ingest, "_int_table", side_effect=AssertionError("int path")):
+                got = parse_ratings(path)
+        assert columns_or_message(got) == [
+            (np.dtype(np.int64), [1, 2]),
+            (np.dtype(np.int64), [1193, 661]),
+            (np.dtype(np.int64), [5, 3]),
+            (np.dtype(np.int64), [978300760, 978302109]),
+        ]
 
 
 class TestParseMovies:
