@@ -6,17 +6,18 @@ weights, and damped by a significance factor when the co-rated overlap is
 small. Neighbors are drawn only from users who rated the target item.
 
 One kernel, ``_correlate``, sums co-rated deviations per rater for every
-caller. Its entries come from one gather per active user, the column scan
-of the user's items, which does not depend on the target: each (item,
-rater) entry's item position, its position in the matrix's item-major
-columns and its rater. ``_sweep`` computes the deviations, and the content
-weights, only for the entries a caller keeps: every entry for the
-unweighted scores, the entries of the target's raters for a weighted
-ranking, the entries of the other user for ``pearson`` and
-``weighted_pearson``. Kept entries stay in gather order, so each rater's
-sums have the bits of a sweep over the whole gather. The gather and the
-unweighted scores are memoised, read-only, for the last (matrix, user)
-asked for, which keeps that matrix alive until the next.
+caller, over (item slot, rater, value) entries. The unweighted scores read
+every entry of the active user's item columns by position. A weighted
+ranking, ``pearson`` and ``weighted_pearson`` keep the entries of their
+candidates (the target's raters, or the other user) from one of two scans.
+``_gather`` joins the raters of the user's item columns, whatever the
+target, with a 16-bit item slot per entry; a user without a memoised
+gather scans the candidates' rows instead (``_rater_rows``) when they hold
+fewer entries, and memoises nothing. ``_sweep`` computes deviations and
+weights for the kept entries alone. Every scan lists each rater's entries
+in ascending item order, so each rater's sums have the same bits. The
+gather and the unweighted scores are memoised, read-only, for the last
+(matrix, user) asked for, which keeps that matrix alive until the next.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -39,7 +40,7 @@ from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
-from .data import ItemId, RatingMatrix, UserId, check_choice
+from .data import ItemId, RatingMatrix, UserId, check_choice, index_dtype
 from .weighting import WeightVector
 
 Denominator = Literal["abs", "signed"]
@@ -131,24 +132,15 @@ def _check_target(weights: WeightVector, target: ItemId) -> None:
 def _pair_correlation(
     a: UserId, u: UserId, matrix: RatingMatrix, weights: WeightVector | None
 ) -> tuple[float, int]:
-    """(raw, overlap) of one pair: the entries of a's gather rated by u."""
+    """(raw, overlap) of one pair, over the entries a and u co-rated."""
     aix, uix = matrix._user_index(a), matrix._user_index(u)
-    g = _gather(matrix, aix)
-    raw, _, _, overlap = _sweep(matrix, aix, np.flatnonzero(g.users == uix), weights)
+    entries = _candidate_entries(matrix, aix, np.array([uix]))
+    raw, _, _, overlap = _sweep(matrix, aix, entries, weights)
     return float(raw[uix]), int(overlap[uix])
 
 
-def _weight_row(weights: WeightVector, matrix: RatingMatrix, item_ix: np.ndarray) -> np.ndarray:
-    """The weight of each item index in ``item_ix``."""
-    return weights.row(list(map(matrix.items.__getitem__, item_ix.tolist())))
-
-
 def _correlate(
-    group: np.ndarray,
-    n_groups: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray | None = None,
+    group: np.ndarray, n_groups: int, x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(raw, cf, value, overlap) per group of paired deviations x, y.
 
@@ -157,20 +149,16 @@ def _correlate(
     are the naive left-to-right sums over its entries.
     """
     if w is not None:
-        x = w * x
-        y = w * y
+        x, y = w * x, w * y
     num = np.bincount(group, weights=x * y, minlength=n_groups)
     den_a = np.bincount(group, weights=x * x, minlength=n_groups)
     den_u = np.bincount(group, weights=y * y, minlength=n_groups)
     overlap = np.bincount(group, minlength=n_groups)
     denom = den_a * den_u
-    raw = np.zeros(n_groups)
-    mask = denom > 0
-    raw[mask] = num[mask] / np.sqrt(denom[mask])
+    raw = np.divide(num, np.sqrt(denom), out=np.zeros(n_groups), where=denom > 0)
     np.clip(raw, -1.0, 1.0, out=raw)
     cf = _damping(overlap)
-    value = raw * cf
-    return raw, cf, value, overlap
+    return raw, cf, raw * cf, overlap
 
 
 # -- one active user's row against every rater --------------------------------
@@ -179,9 +167,8 @@ def _correlate(
 class _Gather(NamedTuple):
     """Every (item of a, rater of that item) entry, in a's item order, then rater order."""
 
-    items: np.ndarray  # a's item indices, ascending
-    itempos: np.ndarray  # each entry's position in ``items``
-    pos: np.ndarray  # each entry's position in the matrix's item-major columns
+    offset: np.ndarray  # per item: column start in the item-major arrays minus first entry here
+    slot: np.ndarray  # each entry's item position in a's row: uint16, or intp past 65,536 items
     users: np.ndarray  # each entry's rater
 
 
@@ -191,47 +178,90 @@ def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@functools.lru_cache(maxsize=1)
+class _LastOne:
+    """A memo of ``fn(matrix, user)`` holding the last result only, with lru_cache's counters."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self.cache_clear()
+
+    def holds(self, matrix: RatingMatrix, uix: int) -> bool:
+        return self._key[0] is matrix and self._key[1] == uix
+
+    def __call__(self, matrix: RatingMatrix, uix: int):
+        hit = self.holds(matrix, uix)
+        if not hit:
+            self._value, self._key = self._fn(matrix, uix), (matrix, uix)
+        self._calls[hit] += 1
+        return self._value
+
+    def cache_info(self) -> functools._CacheInfo:
+        return functools._CacheInfo(*self._calls[::-1], 1, int(self._value is not None))
+
+    def cache_clear(self) -> None:
+        self._key, self._value, self._calls = (None, None), None, [0, 0]
+
+
+def _segments(array: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The slices ``array[lo:hi]`` joined, and each one's start in ``array`` minus in the join."""
+    counts = ends - starts
+    parts = [array[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
+    return np.concatenate(parts), starts - (np.cumsum(counts) - counts)
+
+
+@_LastOne
 def _gather(matrix: RatingMatrix, uix: int) -> _Gather:
     items_a, _ = matrix._user_row(uix)
-    starts = matrix._iptr[items_a]
-    counts = matrix._iptr[items_a + 1] - starts
-    first = np.cumsum(counts) - counts  # gather index of each item's first rater
-    pos = np.arange(counts.sum()) - np.repeat(first - starts, counts)
-    itempos = np.repeat(np.arange(items_a.size), counts)
-    return _Gather(*_frozen((items_a, itempos, pos, matrix._iusers[pos])))
+    starts, ends = matrix._iptr[items_a], matrix._iptr[items_a + 1]
+    users, offset = _segments(matrix._iusers, starts, ends)
+    slot = np.arange(items_a.size, dtype=index_dtype(items_a.size))
+    return _Gather(*_frozen((offset, np.repeat(slot, ends - starts), users)))
+
+
+def _rater_rows(matrix: RatingMatrix, aix: int, raters: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(item slot, rater, value) of the raters' entries on ``aix``'s items, by rater, then item."""
+    items_a, _ = matrix._user_row(aix)
+    slot_of = np.full(len(matrix.items), items_a.size, dtype=index_dtype(items_a.size + 1))
+    slot_of[items_a] = np.arange(items_a.size)
+    starts, ends = matrix._uptr[raters], matrix._uptr[raters + 1]
+    rows, offset = _segments(matrix._uitems, starts, ends)
+    slot = slot_of[rows]
+    kept = np.flatnonzero(slot < items_a.size)
+    owner = np.repeat(np.arange(raters.size, dtype=index_dtype(raters.size)), ends - starts)
+    owner = owner[kept].astype(np.intp)  # each kept entry's rater
+    return slot[kept].astype(np.intp), raters[owner], matrix._uvals[kept + offset[owner]]
 
 
 def _sweep(
-    matrix: RatingMatrix, aix: int, kept, weights: WeightVector | None = None
+    matrix: RatingMatrix, aix: int, entries: tuple, weights: WeightVector | None = None
 ) -> tuple[np.ndarray, ...]:
-    """(raw, cf, value, overlap) of user ``aix`` against every user, summed over
-    the gather entries ``kept`` (an index array or a slice) only.
-
-    Deviations, and weights when given, are computed for the kept entries
-    alone; the kept entries keep their gather order, so each rater's sums
-    have the bits of a sweep over the whole gather. Only items on a kept
-    entry need a weight.
-    """
-    g = _gather(matrix, aix)
-    itempos, users = g.itempos[kept], g.users[kept]
-    _, vals_a = matrix._user_row(aix)
-    dev_a = (vals_a - matrix._umeans[aix])[itempos]
-    dev_u = matrix._ivals[g.pos[kept]] - matrix._umeans[users]
+    """(raw, cf, value, overlap) of user ``aix`` against every user over the
+    ``entries`` (item slot in a's row, rater, rater's value) alone; each rater's
+    sums run in the entries' order, and only items on an entry need a weight."""
+    slot, users, vals_u = entries
+    items_a, vals_a = matrix._user_row(aix)
+    dev_a = (vals_a - matrix._umeans[aix])[slot]
+    dev_u = vals_u - matrix._umeans[users]
     w = None
     if weights is not None:
-        used = np.zeros(g.items.size, dtype=bool)
-        used[itempos] = True
-        w_row = np.zeros(g.items.size)
-        w_row[used] = _weight_row(weights, matrix, g.items[used])
-        w = w_row[itempos]
+        used = np.zeros(items_a.size, dtype=bool)
+        used[slot] = True
+        w_row = np.zeros(items_a.size)
+        w_row[used] = weights.row(list(map(matrix.items.__getitem__, items_a[used].tolist())))
+        w = w_row[slot]
     return _correlate(users, len(matrix.users), dev_a, dev_u, w)
 
 
-@functools.lru_cache(maxsize=1)
+@_LastOne
 def _plain_scores(matrix: RatingMatrix, uix: int) -> tuple[np.ndarray, ...]:
-    """Unweighted (raw, cf, value, overlap) of user ``uix`` against every user."""
-    return _frozen(_sweep(matrix, uix, slice(None)))
+    """Unweighted (raw, cf, value, overlap) of ``uix`` against every user, memoised in place of
+    a gather: every column entry is read once, by position."""
+    items_a, _ = matrix._user_row(uix)
+    starts = matrix._iptr[items_a]
+    counts = matrix._iptr[items_a + 1] - starts
+    slot = np.repeat(np.arange(items_a.size), counts)
+    pos = np.arange(slot.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return _frozen(_sweep(matrix, uix, (slot, matrix._iusers[pos], matrix._ivals[pos])))
 
 
 # -- the ranking and its running sums ------------------------------------------
@@ -346,10 +376,8 @@ def rank_candidates(
         raw, cf, value, overlap = _plain_scores(matrix, aix)
     else:
         _check_target(weights, target)
-        is_cand = np.zeros(len(matrix.users), dtype=bool)
-        is_cand[cand] = True
-        kept = np.flatnonzero(is_cand[_gather(matrix, aix).users])
-        raw, cf, value, overlap = _sweep(matrix, aix, kept, weights)
+        entries = _candidate_entries(matrix, aix, cand)
+        raw, cf, value, overlap = _sweep(matrix, aix, entries, weights)
 
     keep = overlap[cand] > 0
     if min_sim is not None:
@@ -362,6 +390,22 @@ def rank_candidates(
     dev = r_ut - matrix._umeans[cand]
     cols = _Candidates(cand, raw[cand], cf[cand], value[cand], overlap[cand], dev)
     return Ranking(matrix, a, target, cols)
+
+
+def _candidate_entries(matrix: RatingMatrix, aix: int, cand: np.ndarray) -> tuple:
+    """The entries co-rated by user ``aix`` and the candidates: from a memoised gather, else
+    from the side with fewer entries, the user's item columns or the candidates' rows."""
+    if not _gather.holds(matrix, aix):
+        items_a, _ = matrix._user_row(aix)
+        columns = (matrix._iptr[items_a + 1] - matrix._iptr[items_a]).sum()
+        if (matrix._uptr[cand + 1] - matrix._uptr[cand]).sum() < columns:
+            return _rater_rows(matrix, aix, cand)
+    g = _gather(matrix, aix)
+    is_cand = np.zeros(len(matrix.users), dtype=bool)
+    is_cand[cand] = True
+    kept = np.flatnonzero(is_cand[g.users])
+    slot = g.slot[kept].astype(np.intp)
+    return slot, g.users[kept], matrix._ivals[kept + g.offset[slot]]
 
 
 def select_neighbors(

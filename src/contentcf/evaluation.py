@@ -34,7 +34,7 @@ from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
-from .cf import EMPTY_RANKING, Denominator, NeighborSet, predict, rank_candidates
+from .cf import EMPTY_RANKING, Denominator, NeighborSet, _gather, predict, rank_candidates
 from .data import ItemId, Rating, RatingMatrix, UserId, build_matrix, check_choice
 from .weighting import K0Branch, WeightCalculator
 
@@ -82,7 +82,7 @@ class FoldAssignment:
     @functools.cached_property
     def fold_of(self) -> Mapping[tuple[UserId, ItemId], int]:
         """Read-only {(user, item): fold} view, built on first use."""
-        u_idx, i_idx, _ = self.matrix._entries()
+        u_idx, i_idx, _ = self.matrix._entries(np.arange(self.matrix.n_ratings))
         users, items = self.matrix.users, self.matrix.items
         pairs = ((users[u], items[i]) for u, i in zip(u_idx.tolist(), i_idx.tolist()))
         return MappingProxyType(dict(zip(pairs, self.fold.tolist())))
@@ -216,8 +216,8 @@ def _eval_chunk(task):
     return _worker["evaluate"](task)
 
 
-def _fold_evaluator(folds: FoldAssignment, entries, calculator, config: RunConfig):
-    """The evaluator of tasks (fold, held-out indices into the run matrix's ``entries``).
+def _fold_evaluator(folds: FoldAssignment, calculator, config: RunConfig):
+    """The evaluator of tasks (fold, held-out entry indices of the run's matrix).
     It builds a fold's training matrix on its first task of that fold and keeps the latest."""
     latest: dict[int, RatingMatrix] = {}
 
@@ -227,7 +227,7 @@ def _fold_evaluator(folds: FoldAssignment, entries, calculator, config: RunConfi
             latest.clear()
             # A fold holding every rating leaves an empty matrix: every row is skipped.
             latest[f] = folds.matrix._masked(folds.fold != f)
-        return _eval_ratings(latest[f], calculator, config, tuple(col[held] for col in entries))
+        return _eval_ratings(latest[f], calculator, config, folds.matrix._entries(held))
 
     return evaluate
 
@@ -254,6 +254,8 @@ def _eval_ratings(matrix: RatingMatrix, calculator: WeightCalculator | None, con
             current_user = u
             user_row, _ = matrix._user_row(u)
             user_items = list(map(matrix.items.__getitem__, user_row.tolist()))
+            if row + 1 < len(users) and users[row + 1] == u:
+                _gather(matrix, u)  # ranked more than once: its columns are scanned once
 
         ranked = EMPTY_RANKING
         if matrix._icount[i]:
@@ -272,11 +274,11 @@ def _eval_ratings(matrix: RatingMatrix, calculator: WeightCalculator | None, con
     return errors, fallbacks, predicted
 
 
-def _chunks(held: np.ndarray, users: np.ndarray, n_chunks: int) -> list[np.ndarray]:
-    """``held`` in consecutive chunks of about len/n_chunks, cut where ``users[held]`` changes."""
+def _chunks(held: np.ndarray, uptr: np.ndarray, n_chunks: int) -> list[np.ndarray]:
+    """``held`` in consecutive chunks of about len/n_chunks, each cut at a change of user."""
     target = max(1, held.size // n_chunks)
     cuts = [0]
-    for start in (np.flatnonzero(np.diff(users[held])) + 1).tolist():
+    for start in (np.flatnonzero(np.diff(np.searchsorted(uptr, held, "right"))) + 1).tolist():
         if start - cuts[-1] >= target:
             cuts.append(start)
     return np.split(held, cuts[1:]) if held.size else []
@@ -308,7 +310,6 @@ def run_experiment(
                 f"{len(unprofiled)} rated item(s) have no profile, "
                 f"e.g. {', '.join(map(repr, unprofiled[:5]))}"
             )
-    entries = folds.matrix._entries()
 
     n_workers = config.effective_workers
     try:
@@ -324,9 +325,9 @@ def run_experiment(
             rng = np.random.default_rng([_SAMPLE_STREAM, _entropy_int(config.seed), f])
             picked = rng.choice(held.size, size=config.sample_test, replace=False)
             held = held[np.sort(picked)]
-        tasks += [(f, chunk) for chunk in _chunks(held, entries[0], 4 * n_workers)]
+        tasks += [(f, chunk) for chunk in _chunks(held, folds.matrix._uptr, 4 * n_workers)]
 
-    evaluate = _fold_evaluator(folds, entries, calculator, config)
+    evaluate = _fold_evaluator(folds, calculator, config)
     n_workers = min(n_workers, len(tasks))  # a fork pool forks every worker at the first submit
     if n_workers <= 1:
         return _reports(config, folds.n_folds, tasks, map(evaluate, tasks))

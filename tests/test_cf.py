@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from functools import partial
 from unittest import mock
@@ -23,7 +24,7 @@ from contentcf.cf import (
     significance_factor,
     weighted_pearson,
 )
-from contentcf.data import RatingMatrix, build_matrix
+from contentcf.data import RatingColumns, RatingMatrix, build_matrix
 from contentcf.weighting import WeightVector
 from conftest import as_ratings, rating_triples
 from oracle import by_user, naive_pearson, naive_rank
@@ -440,10 +441,14 @@ class TestGatherReadOnly:
         m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         twin = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         g = cf._gather(m, 0)
+        assert g._fields == ("offset", "slot", "users")
+        assert g.slot.dtype == np.uint16 and g.users.dtype == np.int64
         for arr in g:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             g.users[0] = 1
+        with pytest.raises(ValueError):
+            g.slot[0] = 1
         wv = WeightVector(0, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
         rank_candidates(1, 0, m, weights=wv)
         rank_candidates(1, 0, m)
@@ -455,6 +460,210 @@ class TestGatherReadOnly:
         assert cf._gather(m, 1) is not g
         assert cf._gather.cache_info().misses == 3
         assert cf._gather.cache_info().currsize == 1
+
+    def test_a_ranking_on_the_rows_side_leaves_the_memo_as_it_was(self):
+        # User 1's item columns hold 9 entries; target 5's raters' rows hold 6.
+        m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
+        wv = WeightVector(5, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
+        cf._gather.cache_clear()
+        g = cf._gather(m, m._user_index(2))
+        before = cf._gather.cache_info()
+        with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as rows:
+            assert [s.user_id for s in rank_candidates(1, 5, m, weights=wv)] == [3]
+        assert rows.call_count == 1
+        assert cf._gather.cache_info() == before
+        assert cf._gather.holds(m, m._user_index(2))
+        assert cf._gather(m, m._user_index(2)) is g
+
+
+# -- the cold scans: rater rows, cold gather, warm gather -----------------------
+
+
+def _three_array_scores(m, aix, cand, weights):
+    """(raw, cf, value, overlap) per user from the three-array gather (item
+    position, item-major position and rater per entry) and its candidate-only
+    sweep, as they were before the raters-only gather."""
+    items_a, vals_a = m._user_row(aix)
+    starts = m._iptr[items_a]
+    counts = m._iptr[items_a + 1] - starts
+    first = np.cumsum(counts) - counts
+    pos = np.arange(counts.sum()) - np.repeat(first - starts, counts)
+    itempos = np.repeat(np.arange(items_a.size), counts)
+    is_cand = np.zeros(len(m.users), dtype=bool)
+    is_cand[cand] = True
+    kept = np.flatnonzero(is_cand[m._iusers[pos]])
+    itempos, pos, users = itempos[kept], pos[kept], m._iusers[pos[kept]]
+    dev_a = (vals_a - m._umeans[aix])[itempos]
+    dev_u = m._ivals[pos] - m._umeans[users]
+    w = weights.row([m.items[j] for j in items_a.tolist()])[itempos]
+    x = w * dev_a
+    y = w * dev_u
+    n = len(m.users)
+    num = np.bincount(users, weights=x * y, minlength=n)
+    den_a = np.bincount(users, weights=x * x, minlength=n)
+    den_u = np.bincount(users, weights=y * y, minlength=n)
+    overlap = np.bincount(users, minlength=n)
+    denom = den_a * den_u
+    raw = np.zeros(n)
+    mask = denom > 0
+    raw[mask] = num[mask] / np.sqrt(denom[mask])
+    np.clip(raw, -1.0, 1.0, out=raw)
+    damping = np.minimum(overlap, 50) / 50
+    return raw, damping, raw * damping, overlap
+
+
+SCANS = ("rows", "cold gather", "warm gather")
+
+
+def _entries_on(scan):
+    """A stand-in for ``cf._candidate_entries`` that takes one scan; a warm
+    user must take its gather."""
+    chosen, rater_rows = cf._candidate_entries, cf._rater_rows
+
+    def entries(matrix, aix, cand):
+        if scan == "rows":
+            return rater_rows(matrix, aix, cand)
+        if scan == "cold gather":
+            assert not cf._gather.holds(matrix, aix)
+            cf._gather(matrix, aix)
+        with mock.patch.object(cf, "_rater_rows", side_effect=AssertionError("rows scanned")):
+            return chosen(matrix, aix, cand)
+
+    return entries
+
+
+def _ranked_on(scan, m, a, target, wv, min_sim=None):
+    cf._gather.cache_clear()
+    if scan == "warm gather":
+        cf._gather(m, m._user_index(a))
+    with mock.patch.object(cf, "_candidate_entries", _entries_on(scan)):
+        return _bits(_as_rows(rank_candidates(a, target, m, weights=wv, min_sim=min_sim)))
+
+
+def _check_every_scan(triples, a, target, weights, min_sim=None):
+    """Every scan ranks with the oracle's bits and scores every candidate with
+    the three-array gather's bits; a cold ranking scans the side with fewer
+    entries and memoises only a gather. Returns the oracle's ranking."""
+    m = build_matrix(as_ratings(triples))
+    wv = WeightVector(target, weights, max_feature_count=10)
+    expected = _bits(naive_rank(by_user(triples), a, target, weights, min_sim))
+    for scan in SCANS:
+        assert _ranked_on(scan, m, a, target, wv, min_sim) == expected, scan
+    aix = m._user_index(a)
+    table = by_user(triples)
+    raters = [u for u in sorted(table) if u != a and target in table[u]]
+    cand = np.array([m._user_index(u) for u in raters], dtype=np.int64)
+    if cand.size == 0:  # rank_candidates returns before any scan
+        return expected
+    old = _three_array_scores(m, aix, cand, wv)
+    cf._gather.cache_clear()
+    rater_rows = cf._rater_rows(m, aix, cand)
+    cf._gather(m, aix)
+    for entries in (rater_rows, cf._candidate_entries(m, aix, cand)):
+        new = cf._sweep(m, aix, entries, wv)
+        for got, want in zip(new, old):
+            assert got[cand].tobytes() == want[cand].tobytes()
+
+    items_a, _ = m._user_row(aix)
+    columns = int((m._iptr[items_a + 1] - m._iptr[items_a]).sum())
+    rows = int((m._uptr[cand + 1] - m._uptr[cand]).sum())
+    cf._gather.cache_clear()
+    with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as scanned:
+        ranked = rank_candidates(a, target, m, weights=wv, min_sim=min_sim)
+    assert _bits(_as_rows(ranked)) == expected
+    assert scanned.call_count == int(rows < columns)
+    assert cf._gather.cache_info().currsize == int(rows >= columns)
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rating_triples(max_users=7, max_items=6),
+    st.integers(1, 7),
+    st.integers(101, 107),
+    st.none() | st.floats(-1.0, 1.0),
+    st.data(),
+)
+def test_every_scan_has_the_oracle_and_three_array_bits(triples, a, target, min_sim, data):
+    assume(a in by_user(triples))
+    weights = {i: data.draw(st.floats(0.01, 3.0)) for i in {i for _, i, _ in triples}}
+    _check_every_scan(triples, a, target, weights, min_sim)
+
+
+class TestColdScanCases:
+    """Cases each scan must get right, against the oracle and the three-array gather."""
+
+    WEIGHTS = {i: 0.25 + 0.125 * i for i in range(10)}
+
+    def test_exact_ties_keep_user_order(self):
+        # Users 2, 3 and 4 rate exactly alike, so they tie; 5 differs.
+        triples = [(1, 0, 5), (1, 1, 1), (1, 2, 3)]
+        triples += [(u, i, v) for u in (4, 2, 3) for i, v in ((0, 4), (1, 2), (2, 3), (9, 5))]
+        triples += [(5, 0, 1), (5, 1, 5), (5, 9, 2)]
+        ranked = _check_every_scan(triples, 1, 9, self.WEIGHTS)
+        assert [r[0] for r in ranked] == [2, 3, 4, 5]
+        assert ranked[0][1:] == ranked[1][1:] == ranked[2][1:]
+
+    def test_min_sim(self):
+        triples = [(1, 0, 5), (1, 1, 1), (1, 2, 3)]
+        triples += [(2, 0, 4), (2, 1, 2), (2, 9, 5), (3, 0, 1), (3, 1, 5), (3, 9, 2)]
+        assert [r[0] for r in _check_every_scan(triples, 1, 9, self.WEIGHTS)] == [2, 3]
+        assert [r[0] for r in _check_every_scan(triples, 1, 9, self.WEIGHTS, 0.0)] == [2]
+        assert _check_every_scan(triples, 1, 9, self.WEIGHTS, 1.5) == []
+
+    def test_rater_with_one_co_rated_item(self):
+        triples = [(1, 0, 5), (1, 1, 1), (1, 2, 3), (2, 1, 4), (2, 9, 2)]
+        triples += [(3, i, 1 + i % 5) for i in (0, 1, 2, 9)]
+        ranked = _check_every_scan(triples, 1, 9, self.WEIGHTS)
+        assert {r[0]: r[4] for r in ranked} == {2: 1, 3: 3}
+
+    def test_user_whose_items_each_have_one_rater(self):
+        # Each of user 1's items has one rater: user 1 alone, then one other user each.
+        alone = [(1, 0, 5), (1, 1, 2), (2, 9, 4), (3, 9, 1), (2, 5, 3)]
+        assert _check_every_scan(alone, 1, 9, self.WEIGHTS) == []
+        paired = [(1, i, 1 + i) for i in range(4)] + [(10 + i, i, 5 - i) for i in range(4)]
+        paired += [(10 + i, 9, 1 + i) for i in range(4)]
+        ranked = _check_every_scan(paired, 1, 9, self.WEIGHTS)
+        assert sorted(r[0] for r in ranked) == [10, 11, 12, 13]
+        assert {r[4] for r in ranked} == {1}
+
+    @pytest.mark.parametrize("n_items", [1 << 16, (1 << 16) + 1])
+    def test_item_slot_dtype_at_the_uint16_bound(self, n_items):
+        # User 0 rates every item; users 1 and 2 rate a few of them and the target.
+        items = np.arange(n_items)
+        users = np.concatenate([np.zeros(n_items, dtype=np.int64), [1, 1, 1, 2, 2, 2]])
+        items = np.concatenate([items, [0, n_items - 1, 5, 3, n_items - 1, 6]])
+        values = np.concatenate([1 + items[:n_items] % 5, [5, 1, 4, 2, 2, 3]])
+        m = RatingMatrix(RatingColumns(users, items, values, np.zeros(users.size, dtype=np.int64)))
+        cf._gather.cache_clear()
+        g = cf._gather(m, 0)
+        assert g.slot.dtype == (np.uint16 if n_items <= 1 << 16 else np.intp)
+        assert g.slot[-1] == n_items - 1
+        triples = list(zip(users.tolist(), items.tolist(), values.tolist()))
+        weights = {i: 0.5 + (i % 7) / 4 for i in range(n_items)}
+        assert len(_check_every_scan(triples, 0, n_items - 1, weights)) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(rating_triples(max_users=6, max_items=6), st.data())
+def test_pair_correlations_on_either_scan_match_the_three_array_gather(triples, data):
+    """A cold pair scans the smaller side; a warm one reads the gather alone."""
+    m = build_matrix(as_ratings(triples))
+    a = data.draw(st.sampled_from(m.users))
+    u = data.draw(st.sampled_from(m.users))
+    wv = WeightVector(m.items[0], {i: data.draw(st.floats(0.01, 3.0)) for i in m.items}, 10)
+    aix, uix = m._user_index(a), m._user_index(u)
+    for warm in (False, True):
+        cf._gather.cache_clear()
+        guard = contextlib.nullcontext()
+        if warm:
+            cf._gather(m, aix)
+            guard = mock.patch.object(cf, "_rater_rows", side_effect=AssertionError("rows scanned"))
+        with guard:
+            got = [pearson(a, u, m), weighted_pearson(a, u, m.items[0], m, wv)]
+        for weights, (raw_got, overlap_got) in zip((uniform_weights(m, m.items[0]), wv), got):
+            raw, _, _, overlap = _three_array_scores(m, aix, np.array([uix]), weights)
+            assert (raw_got.hex(), overlap_got) == (float(raw[uix]).hex(), int(overlap[uix]))
 
 
 @settings(max_examples=300, deadline=None)

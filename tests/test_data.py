@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contentcf.cf import pearson, rank_candidates
-from contentcf.data import MovieProfile, ProfileSource, Rating, RatingColumns, build_matrix
+from contentcf.data import (
+    MovieProfile,
+    ProfileSource,
+    Rating,
+    RatingColumns,
+    _encode,
+    build_matrix,
+)
 from contentcf.ingest import parse_ratings
 from conftest import as_ratings, rating_triples
 
@@ -261,9 +270,111 @@ def test_columns_and_ratings_build_the_same_matrix(tmp_path_factory, triples, ra
     assert named.users == tuple(f"u{u:03d}" for u in from_cols.users)
     assert named.items == tuple(f"m{i:04d}" for i in from_cols.items)
     assert _matrix_bits(from_cols) == _matrix_bits(from_list) == _matrix_bits(named)
-    u_idx, i_idx, vals = from_cols._entries()
+    u_idx, i_idx, vals = from_cols._entries(np.arange(len(triples)))
     entries = [(from_cols.users[u], from_cols.items[i], v) for u, i, v in zip(u_idx, i_idx, vals)]
     assert entries == [(u, i, float(v)) for u, i, v in sorted(triples)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rating_triples(max_users=8, max_items=8, max_ratings=40), st.data())
+def test_entries_read_users_from_the_row_pointers(triples, data):
+    """``_entries`` at any indices gives the rows of the per-user repeat, on a
+    matrix and on a sub-matrix whose masked-out users hold no entry."""
+    m = build_matrix(as_ratings(triples))
+    flags = st.lists(st.booleans(), min_size=m.n_ratings, max_size=m.n_ratings)
+    for matrix in (m, m._masked(np.array(data.draw(flags), dtype=bool))):
+        users = np.repeat(np.arange(len(matrix.users)), np.diff(matrix._uptr))
+        every = (users, matrix._uitems, matrix._uvals)
+        everywhere = matrix._entries(np.arange(matrix.n_ratings))
+        assert all(np.array_equal(a, b) for a, b in zip(everywhere, every))
+        size = matrix.n_ratings
+        at = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        assert all(np.array_equal(a, b[at]) for a, b in zip(matrix._entries(at), every))
+
+
+# -- the linear-time encode and the 16-bit item order --------------------------
+
+
+def _encoded_through(ids):
+    """(distinct ids, indices, whether np.unique was called) of ``_encode(ids)``."""
+    with mock.patch("numpy.unique", wraps=np.unique) as unique:
+        distinct, index = _encode(ids)
+    return distinct, index, unique.called
+
+
+def _assert_encodes_as_unique(ids):
+    distinct, index = np.unique(ids, return_inverse=True)
+    got_distinct, got_index, _ = _encoded_through(ids)
+    assert got_distinct == tuple(distinct.tolist())
+    assert all(type(x) is type(y) for x, y in zip(got_distinct, distinct.tolist()))
+    assert got_index.dtype == np.int64 and got_index.tolist() == index.ravel().tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-3, 60), min_size=1, max_size=50),
+    st.sampled_from([np.int64, np.int32, np.uint16]),
+)
+def test_encode_matches_np_unique(ids, dtype):
+    if dtype is np.uint16:
+        ids = [abs(x) for x in ids]
+    _assert_encodes_as_unique(np.array(ids, dtype=dtype))
+
+
+@pytest.mark.parametrize(
+    "ids, presence",
+    [
+        ([0], True),
+        ([0, 0, 0], True),
+        ([2, 0, 2], True),  # max + 1 == len
+        ([5, 1, 5, 0, 1, 5], True),
+        ([3, 0, 2], False),  # max + 1 > len
+        ([1], False),
+        ([-1, 0, 1, 1], False),  # negative ids
+        ([7, 7, 7, 8], False),
+    ],
+)
+def test_encode_takes_the_presence_table_only_for_ids_below_the_count(ids, presence):
+    arr = np.array(ids, dtype=np.int64)
+    _assert_encodes_as_unique(arr)
+    assert _encoded_through(arr)[2] is not presence
+
+
+def test_object_ids_from_ratings_encode_through_np_unique():
+    cols = RatingColumns.from_ratings(as_ratings([(2, 1, 3), (0, 1, 4), (1, 0, 5), (2, 0, 1)]))
+    assert cols.user_ids.dtype == object
+    distinct, index, through_unique = _encoded_through(cols.user_ids)
+    assert through_unique
+    assert (distinct, index.tolist()) == ((0, 1, 2), [2, 0, 1, 2])
+    ints = _encoded_through(np.array(cols.user_ids.tolist(), dtype=np.int64))
+    assert (ints[0], ints[1].tolist(), ints[2]) == (distinct, index.tolist(), False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rating_triples(max_users=12, max_items=12, max_ratings=60), st.randoms())
+def test_item_order_is_the_int64_stable_order(triples, random):
+    random.shuffle(triples)
+    users, items, values = (np.array(c, dtype=np.int64) for c in zip(*triples))
+    parsed = RatingColumns(users, items, values, np.zeros(len(triples), dtype=np.int64))
+    for m in (build_matrix(as_ratings(triples)), build_matrix(parsed)):
+        assert m._by_item.tolist() == np.argsort(m._uitems.astype(np.int64), kind="stable").tolist()
+
+
+@pytest.mark.parametrize("n_items", [1 << 16, (1 << 16) + 1])
+def test_item_order_at_the_uint16_bound(n_items):
+    # Every item once, then 3,000 more ratings on random items by 40 users.
+    rng = np.random.default_rng(n_items)
+    users = np.concatenate([rng.integers(0, 40, n_items), rng.integers(0, 40, 3000)])
+    items = np.concatenate([rng.permutation(n_items), rng.integers(0, n_items, 3000)])
+    _, first = np.unique(users * n_items + items, return_index=True)
+    users, items = users[np.sort(first)], items[np.sort(first)]
+    cols = RatingColumns(users, items, 1 + items % 5, np.zeros(users.size, dtype=np.int64))
+    with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
+        m = build_matrix(cols)
+    assert len(m.items) == n_items
+    keys = [c.args[0].dtype for c in argsort.call_args_list]
+    assert (np.dtype(np.uint16) in keys) == (n_items <= 1 << 16)
+    assert m._by_item.tolist() == np.argsort(m._uitems, kind="stable").tolist()
 
 
 class TestMovieProfile:

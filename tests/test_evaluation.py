@@ -6,12 +6,13 @@ import csv
 import hashlib
 import logging
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from contentcf import evaluation
+from contentcf import cf, evaluation
 from contentcf.cf import rank_candidates
 from contentcf.data import MovieProfile, RatingMatrix, build_matrix
 from contentcf.evaluation import (
@@ -75,12 +76,20 @@ class TestSplitFolds:
         assert folds.fold.shape == (folds.matrix.n_ratings,) == (len(rs),)
         assert not folds.fold.flags.writeable
         users, items = folds.matrix.users, folds.matrix.items
-        u_idx, i_idx, _ = folds.matrix._entries()
+        u_idx, i_idx, _ = folds.matrix._entries(np.arange(len(rs)))
         pairs = [(users[u], items[i]) for u, i in zip(u_idx, i_idx)]
         assert pairs == sorted((r.user_id, r.item_id) for r in rs)
         assert [folds.fold_of[p] for p in pairs] == folds.fold.tolist()
         with pytest.raises(TypeError):
             folds.fold_of[pairs[0]] = 0
+
+
+def test_chunks_cut_only_where_the_user_changes():
+    # Users own the entries [0, 3), [3, 4), [4, 8), none, and [8, 10).
+    uptr = np.array([0, 3, 4, 8, 8, 10])
+    chunks = evaluation._chunks(np.array([0, 2, 3, 5, 6, 7, 9]), uptr, 3)
+    assert [c.tolist() for c in chunks] == [[0, 2], [3, 5, 6, 7], [9]]
+    assert evaluation._chunks(np.array([], dtype=np.int64), uptr, 3) == []
 
 
 # sha256 of the sorted fold_of items of synthetic_dataset(n_users=60) at seed
@@ -265,6 +274,29 @@ class TestRunExperiment:
         reports = run_experiment(rs, cfg, profiles=StoreStub(synthetic_profiles()))
         assert len(reports[0].fold_maes) == 5
         assert len(inits) == 1
+
+    @pytest.mark.parametrize("sample_test", [None, 3])
+    def test_only_a_user_held_out_once_in_a_chunk_may_scan_rater_rows(self, sample_test):
+        # A user with more than one held-out row in a chunk ranks them all from its gather.
+        scanned, chunks = [], []
+        rater_rows, eval_ratings = cf._rater_rows, evaluation._eval_ratings
+
+        def rows(matrix, aix, raters):
+            scanned.append((len(chunks) - 1, aix))
+            return rater_rows(matrix, aix, raters)
+
+        def chunk(matrix, calculator, config, held):
+            chunks.append(np.bincount(held[0], minlength=len(matrix.users)))
+            return eval_ratings(matrix, calculator, config, held)
+
+        cfg = RunConfig(method="wpc", k_values=(3,), seed=5, workers=1, sample_test=sample_test)
+        with mock.patch.object(cf, "_rater_rows", rows), mock.patch.object(
+            evaluation, "_eval_ratings", chunk
+        ):
+            run_experiment(as_ratings(synthetic_dataset()), cfg, StoreStub(synthetic_profiles()))
+        assert all(chunks[c][aix] == 1 for c, aix in scanned)
+        if sample_test is not None:  # single rows: some take the rows side
+            assert scanned
 
     @pytest.mark.parametrize("method", ["pc", "wpc"])
     def test_no_rating_lookup_on_the_evaluation_path(self, method, monkeypatch):
