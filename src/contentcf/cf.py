@@ -6,18 +6,19 @@ weights, and damped by a significance factor when the co-rated overlap is
 small. Neighbors are drawn only from users who rated the target item.
 
 One kernel, ``_correlate``, sums co-rated deviations per rater for every
-caller, over (item slot, rater, value) entries. The unweighted scores read
-every entry of the active user's item columns by position. A weighted
+caller, over (item slot, rater, value) entries. ``_gather`` joins the raters
+of the active user's item columns, whatever the target, with a 16-bit item
+slot per entry; the unweighted scores sweep every entry of it. A weighted
 ranking, ``pearson`` and ``weighted_pearson`` keep the entries of their
-candidates (the target's raters, or the other user) from one of two scans.
-``_gather`` joins the raters of the user's item columns, whatever the
-target, with a 16-bit item slot per entry; a user without a memoised
-gather scans the candidates' rows instead (``_rater_rows``) when they hold
-fewer entries, and memoises nothing. ``_sweep`` computes deviations and
-weights for the kept entries alone. Every scan lists each rater's entries
-in ascending item order, so each rater's sums have the same bits. The
-gather and the unweighted scores are memoised, read-only, for the last
-(matrix, user) asked for, which keeps that matrix alive until the next.
+candidates (the target's raters, or the other user) from one of two scans,
+chosen rent-or-buy: the candidates' rows (``_rater_rows``) while the rows
+scanned for the user so far hold fewer entries than its item columns, then
+the gather, built once. ``_sweep`` computes deviations and weights for the
+kept entries alone. Every scan lists each rater's entries in ascending item
+order, so each rater's sums have the same bits. A user's scan state (its
+read-only gather and unweighted scores, and the row entries it scanned) is
+one ``_Scan`` record, memoised by ``_scan`` for the last (matrix, user) asked
+for, which keeps that matrix alive until the next.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -164,42 +165,28 @@ def _correlate(
 # -- one active user's row against every rater --------------------------------
 
 
-class _Gather(NamedTuple):
-    """Every (item of a, rater of that item) entry, in a's item order, then rater order."""
+@dataclass(slots=True)
+class _Scan:
+    """One user's scan state on one matrix. Its gather, every (item of the user, rater of that
+    item) entry in the user's item order, then rater order, is three read-only arrays, None
+    until built."""
 
-    offset: np.ndarray  # per item: column start in the item-major arrays minus first entry here
-    slot: np.ndarray  # each entry's item position in a's row: uint16, or intp past 65,536 items
-    users: np.ndarray  # each entry's rater
+    offset: np.ndarray | None = None  # per item: its column's start minus its first entry here
+    slot: np.ndarray | None = None  # each entry's item slot: uint16, or intp past 65,536 items
+    users: np.ndarray | None = None  # each entry's rater
+    rows: int = 0  # the candidates' row entries scanned before the gather was built
+    plain: tuple[np.ndarray, ...] | None = None  # the unweighted scores
+
+
+@functools.lru_cache(maxsize=1)
+def _scan(matrix: RatingMatrix, uix: int) -> _Scan:
+    return _Scan()
 
 
 def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
-
-
-class _LastOne:
-    """A memo of ``fn(matrix, user)`` holding the last result only, with lru_cache's counters."""
-
-    def __init__(self, fn):
-        self._fn = fn
-        self.cache_clear()
-
-    def holds(self, matrix: RatingMatrix, uix: int) -> bool:
-        return self._key[0] is matrix and self._key[1] == uix
-
-    def __call__(self, matrix: RatingMatrix, uix: int):
-        hit = self.holds(matrix, uix)
-        if not hit:
-            self._value, self._key = self._fn(matrix, uix), (matrix, uix)
-        self._calls[hit] += 1
-        return self._value
-
-    def cache_info(self) -> functools._CacheInfo:
-        return functools._CacheInfo(*self._calls[::-1], 1, int(self._value is not None))
-
-    def cache_clear(self) -> None:
-        self._key, self._value, self._calls = (None, None), None, [0, 0]
 
 
 def _segments(array: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -209,13 +196,16 @@ def _segments(array: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[
     return np.concatenate(parts), starts - (np.cumsum(counts) - counts)
 
 
-@_LastOne
-def _gather(matrix: RatingMatrix, uix: int) -> _Gather:
-    items_a, _ = matrix._user_row(uix)
-    starts, ends = matrix._iptr[items_a], matrix._iptr[items_a + 1]
-    users, offset = _segments(matrix._iusers, starts, ends)
-    slot = np.arange(items_a.size, dtype=index_dtype(items_a.size))
-    return _Gather(*_frozen((offset, np.repeat(slot, ends - starts), users)))
+def _gather(matrix: RatingMatrix, uix: int) -> _Scan:
+    """User ``uix``'s scan record, with its gather built."""
+    scan = _scan(matrix, uix)
+    if scan.users is None:
+        items_a, _ = matrix._user_row(uix)
+        starts, ends = matrix._iptr[items_a], matrix._iptr[items_a + 1]
+        users, offset = _segments(matrix._iusers, starts, ends)
+        slot = np.repeat(np.arange(items_a.size, dtype=index_dtype(items_a.size)), ends - starts)
+        scan.offset, scan.slot, scan.users = _frozen((offset, slot, users))
+    return scan
 
 
 def _rater_rows(matrix: RatingMatrix, aix: int, raters: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -252,16 +242,15 @@ def _sweep(
     return _correlate(users, len(matrix.users), dev_a, dev_u, w)
 
 
-@_LastOne
 def _plain_scores(matrix: RatingMatrix, uix: int) -> tuple[np.ndarray, ...]:
-    """Unweighted (raw, cf, value, overlap) of ``uix`` against every user, memoised in place of
-    a gather: every column entry is read once, by position."""
-    items_a, _ = matrix._user_row(uix)
-    starts = matrix._iptr[items_a]
-    counts = matrix._iptr[items_a + 1] - starts
-    slot = np.repeat(np.arange(items_a.size), counts)
-    pos = np.arange(slot.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return _frozen(_sweep(matrix, uix, (slot, matrix._iusers[pos], matrix._ivals[pos])))
+    """Unweighted (raw, cf, value, overlap) of ``uix`` against every user, over every entry
+    of its gather."""
+    scan = _gather(matrix, uix)
+    if scan.plain is None:
+        slot = scan.slot.astype(np.intp)
+        vals = matrix._ivals[np.arange(slot.size) + scan.offset[slot]]
+        scan.plain = _frozen(_sweep(matrix, uix, (slot, scan.users, vals)))
+    return scan.plain
 
 
 # -- the ranking and its running sums ------------------------------------------
@@ -393,12 +382,14 @@ def rank_candidates(
 
 
 def _candidate_entries(matrix: RatingMatrix, aix: int, cand: np.ndarray) -> tuple:
-    """The entries co-rated by user ``aix`` and the candidates: from a memoised gather, else
-    from the side with fewer entries, the user's item columns or the candidates' rows."""
-    if not _gather.holds(matrix, aix):
+    """The entries co-rated by user ``aix`` and the candidates. Rent or buy: the candidates'
+    rows are scanned while the rows scanned for this user, these included, hold fewer entries
+    than its item columns; then its gather is built once and read."""
+    scan = _scan(matrix, aix)
+    if scan.users is None:
+        scan.rows += int((matrix._uptr[cand + 1] - matrix._uptr[cand]).sum())
         items_a, _ = matrix._user_row(aix)
-        columns = (matrix._iptr[items_a + 1] - matrix._iptr[items_a]).sum()
-        if (matrix._uptr[cand + 1] - matrix._uptr[cand]).sum() < columns:
+        if scan.rows < (matrix._iptr[items_a + 1] - matrix._iptr[items_a]).sum():
             return _rater_rows(matrix, aix, cand)
     g = _gather(matrix, aix)
     is_cand = np.zeros(len(matrix.users), dtype=bool)

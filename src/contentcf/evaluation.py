@@ -34,7 +34,7 @@ from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
-from .cf import EMPTY_RANKING, Denominator, NeighborSet, _gather, predict, rank_candidates
+from .cf import EMPTY_RANKING, Denominator, NeighborSet, predict, rank_candidates
 from .data import ItemId, Rating, RatingMatrix, UserId, build_matrix, check_choice
 from .weighting import K0Branch, WeightCalculator
 
@@ -254,8 +254,6 @@ def _eval_ratings(matrix: RatingMatrix, calculator: WeightCalculator | None, con
             current_user = u
             user_row, _ = matrix._user_row(u)
             user_items = list(map(matrix.items.__getitem__, user_row.tolist()))
-            if row + 1 < len(users) and users[row + 1] == u:
-                _gather(matrix, u)  # ranked more than once: its columns are scanned once
 
         ranked = EMPTY_RANKING
         if matrix._icount[i]:

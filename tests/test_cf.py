@@ -277,15 +277,18 @@ class TestGatherMemo:
                     calls += [
                         (key + ("pc",), partial(rank_candidates, a, target, m)),
                         (key + ("wpc",), partial(rank_candidates, a, target, m, weights=wv)),
-                        (key + ("pearson",), partial(pearson, a, 3, m)),
-                        (key + ("weighted_pearson",), partial(weighted_pearson, a, 3, target, m, wv)),
                     ]
+                    for u in (u for u in m.users if u != a):
+                        weighted = partial(weighted_pearson, a, u, target, m, wv)
+                        calls += [
+                            (key + ("pearson", u), partial(pearson, a, u, m)),
+                            (key + ("weighted_pearson", u), weighted),
+                        ]
         return calls
 
     @staticmethod
     def _cold(fn):
-        cf._gather.cache_clear()
-        cf._plain_scores.cache_clear()
+        cf._scan.cache_clear()
         return fn()
 
     def test_interleaved_calls_match_cold_calls(self):
@@ -301,6 +304,24 @@ class TestGatherMemo:
         for order in orders:
             for key, fn in order:
                 assert fn() == expected[key], key
+
+    def test_a_record_changes_sides_mid_sequence(self):
+        # One user's pair calls come first: each adds a row to its record, so the
+        # record scans rows, then builds its gather, and every later call reads it.
+        calls = self._calls()
+        expected = {key: self._cold(fn) for key, fn in calls}
+        block = sorted((c for c in calls if c[0][:2] == (0, 1)), key=lambda c: len(c[0]) == 4)
+        cf._scan.cache_clear()
+        sides = []
+        for key, fn in block:
+            with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as rows:
+                assert fn() == expected[key], key
+            if key[3] != "pc":  # the unweighted scores never scan rows
+                sides.append("rows" if rows.call_count else "gather")
+        assert cf._scan.cache_info().misses == 1
+        n_rows = sides.count("rows")
+        assert 0 < n_rows < len(sides)
+        assert sides == ["rows"] * n_rows + ["gather"] * (len(sides) - n_rows)
 
 
 # -- vectorized path vs scalar path vs independent oracle -----------------------
@@ -437,13 +458,12 @@ class TestWeightedRankingCases:
 
 class TestGatherReadOnly:
     def test_read_only_and_memoised_per_matrix_and_user(self):
-        cf._gather.cache_clear()
+        cf._scan.cache_clear()
         m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         twin = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         g = cf._gather(m, 0)
-        assert g._fields == ("offset", "slot", "users")
         assert g.slot.dtype == np.uint16 and g.users.dtype == np.int64
-        for arr in g:
+        for arr in (g.offset, g.slot, g.users):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             g.users[0] = 1
@@ -454,26 +474,58 @@ class TestGatherReadOnly:
         rank_candidates(1, 0, m)
         pearson(1, 3, m)
         weighted_pearson(1, 3, 0, m, wv)
-        assert cf._gather(m, 0) is g
-        assert cf._gather.cache_info().misses == 1
+        assert cf._scan(m, 0) is g and cf._gather(m, 0) is g
+        assert all(not arr.flags.writeable for arr in g.plain)
+        assert cf._scan.cache_info().misses == 1
         assert cf._gather(twin, 0) is not g
         assert cf._gather(m, 1) is not g
-        assert cf._gather.cache_info().misses == 3
-        assert cf._gather.cache_info().currsize == 1
+        assert cf._scan.cache_info().misses == 3
+        assert cf._scan.cache_info().currsize == 1
 
-    def test_a_ranking_on_the_rows_side_leaves_the_memo_as_it_was(self):
-        # User 1's item columns hold 9 entries; target 5's raters' rows hold 6.
+
+class TestScanRule:
+    """Rent or buy: a user's weighted calls scan the candidates' rows while the rows
+    scanned so far hold fewer entries than its item columns, then build one gather."""
+
+    def test_rows_are_scanned_while_cumulative_rows_are_below_columns(self):
+        # User 1's item columns hold 9 entries. Target 5's raters' rows hold 6, and
+        # user 2's row 2.
         m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         wv = WeightVector(5, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
-        cf._gather.cache_clear()
-        g = cf._gather(m, m._user_index(2))
-        before = cf._gather.cache_info()
-        with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as rows:
-            assert [s.user_id for s in rank_candidates(1, 5, m, weights=wv)] == [3]
-        assert rows.call_count == 1
-        assert cf._gather.cache_info() == before
-        assert cf._gather.holds(m, m._user_index(2))
-        assert cf._gather(m, m._user_index(2)) is g
+        expected = naive_rank(by_user(TestWeightedRankingCases.TRIPLES), 1, 5, wv.weights)
+        cf._scan.cache_clear()
+        steps = [
+            (partial(rank_candidates, 1, 5, m, weights=wv), 6, True),
+            (partial(weighted_pearson, 1, 2, 5, m, wv), 8, True),
+            (partial(rank_candidates, 1, 5, m, weights=wv), 14, False),
+            (partial(rank_candidates, 1, 5, m, weights=wv), 14, False),
+            (partial(pearson, 1, 3, m), 14, False),
+        ]
+        gathers = []
+        for fn, rows, on_rows in steps:
+            with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as scanned:
+                got = fn()
+            if isinstance(got, cf.Ranking):
+                assert _bits(_as_rows(got)) == _bits(expected)
+            scan = cf._scan(m, m._user_index(1))
+            assert (scanned.call_count, scan.rows) == (int(on_rows), rows)
+            assert (scan.users is None) == on_rows
+            gathers.append(scan.users)
+        assert all(g is gathers[2] for g in gathers[2:])  # one gather, built once
+        assert cf._scan.cache_info().misses == 1
+
+    def test_a_pair_call_adds_to_the_same_record(self):
+        # User 4's row holds 3 entries: with target 5's 6 they reach the 9 columns.
+        m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
+        wv = WeightVector(5, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
+        cf._scan.cache_clear()
+        pearson(1, 4, m)
+        assert cf._scan(m, m._user_index(1)).rows == 3
+        with mock.patch.object(cf, "_rater_rows", side_effect=AssertionError("rows scanned")):
+            ranked = rank_candidates(1, 5, m, weights=wv)
+        assert [s.user_id for s in ranked] == [3]
+        assert cf._scan(m, m._user_index(1)).rows == 9
+        assert cf._scan.cache_info().misses == 1
 
 
 # -- the cold scans: rater rows, cold gather, warm gather -----------------------
@@ -524,7 +576,7 @@ def _entries_on(scan):
         if scan == "rows":
             return rater_rows(matrix, aix, cand)
         if scan == "cold gather":
-            assert not cf._gather.holds(matrix, aix)
+            assert cf._scan(matrix, aix).users is None
             cf._gather(matrix, aix)
         with mock.patch.object(cf, "_rater_rows", side_effect=AssertionError("rows scanned")):
             return chosen(matrix, aix, cand)
@@ -533,7 +585,7 @@ def _entries_on(scan):
 
 
 def _ranked_on(scan, m, a, target, wv, min_sim=None):
-    cf._gather.cache_clear()
+    cf._scan.cache_clear()
     if scan == "warm gather":
         cf._gather(m, m._user_index(a))
     with mock.patch.object(cf, "_candidate_entries", _entries_on(scan)):
@@ -542,8 +594,9 @@ def _ranked_on(scan, m, a, target, wv, min_sim=None):
 
 def _check_every_scan(triples, a, target, weights, min_sim=None):
     """Every scan ranks with the oracle's bits and scores every candidate with
-    the three-array gather's bits; a cold ranking scans the side with fewer
-    entries and memoises only a gather. Returns the oracle's ranking."""
+    the three-array gather's bits; repeated from cold, a ranking scans rows
+    until they add up to the user's columns, then one gather. Returns the
+    oracle's ranking."""
     m = build_matrix(as_ratings(triples))
     wv = WeightVector(target, weights, max_feature_count=10)
     expected = _bits(naive_rank(by_user(triples), a, target, weights, min_sim))
@@ -556,7 +609,7 @@ def _check_every_scan(triples, a, target, weights, min_sim=None):
     if cand.size == 0:  # rank_candidates returns before any scan
         return expected
     old = _three_array_scores(m, aix, cand, wv)
-    cf._gather.cache_clear()
+    cf._scan.cache_clear()
     rater_rows = cf._rater_rows(m, aix, cand)
     cf._gather(m, aix)
     for entries in (rater_rows, cf._candidate_entries(m, aix, cand)):
@@ -567,12 +620,21 @@ def _check_every_scan(triples, a, target, weights, min_sim=None):
     items_a, _ = m._user_row(aix)
     columns = int((m._iptr[items_a + 1] - m._iptr[items_a]).sum())
     rows = int((m._uptr[cand + 1] - m._uptr[cand]).sum())
-    cf._gather.cache_clear()
+    # The same ranking repeated from cold scans rows while n * rows < columns,
+    # then builds one gather and reads it.
+    cf._scan.cache_clear()
+    n_rows = (columns - 1) // rows
+    gathers = []
     with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as scanned:
-        ranked = rank_candidates(a, target, m, weights=wv, min_sim=min_sim)
-    assert _bits(_as_rows(ranked)) == expected
-    assert scanned.call_count == int(rows < columns)
-    assert cf._gather.cache_info().currsize == int(rows >= columns)
+        for n in range(1, n_rows + 3):
+            ranked = rank_candidates(a, target, m, weights=wv, min_sim=min_sim)
+            assert _bits(_as_rows(ranked)) == expected
+            assert scanned.call_count == min(n, n_rows)
+            gathers.append(cf._scan(m, aix).users)
+    assert all(g is None for g in gathers[:n_rows])
+    assert gathers[-2] is not None and gathers[-1] is gathers[-2]
+    assert cf._scan(m, aix).rows == (n_rows + 1) * rows
+    assert cf._scan.cache_info().misses == 1
     return expected
 
 
@@ -635,7 +697,7 @@ class TestColdScanCases:
         items = np.concatenate([items, [0, n_items - 1, 5, 3, n_items - 1, 6]])
         values = np.concatenate([1 + items[:n_items] % 5, [5, 1, 4, 2, 2, 3]])
         m = RatingMatrix(RatingColumns(users, items, values, np.zeros(users.size, dtype=np.int64)))
-        cf._gather.cache_clear()
+        cf._scan.cache_clear()
         g = cf._gather(m, 0)
         assert g.slot.dtype == (np.uint16 if n_items <= 1 << 16 else np.intp)
         assert g.slot[-1] == n_items - 1
@@ -654,7 +716,7 @@ def test_pair_correlations_on_either_scan_match_the_three_array_gather(triples, 
     wv = WeightVector(m.items[0], {i: data.draw(st.floats(0.01, 3.0)) for i in m.items}, 10)
     aix, uix = m._user_index(a), m._user_index(u)
     for warm in (False, True):
-        cf._gather.cache_clear()
+        cf._scan.cache_clear()
         guard = contextlib.nullcontext()
         if warm:
             cf._gather(m, aix)

@@ -6,13 +6,12 @@ import csv
 import hashlib
 import logging
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from contentcf import cf, evaluation
+from contentcf import evaluation
 from contentcf.cf import rank_candidates
 from contentcf.data import MovieProfile, RatingMatrix, build_matrix
 from contentcf.evaluation import (
@@ -274,29 +273,6 @@ class TestRunExperiment:
         reports = run_experiment(rs, cfg, profiles=StoreStub(synthetic_profiles()))
         assert len(reports[0].fold_maes) == 5
         assert len(inits) == 1
-
-    @pytest.mark.parametrize("sample_test", [None, 3])
-    def test_only_a_user_held_out_once_in_a_chunk_may_scan_rater_rows(self, sample_test):
-        # A user with more than one held-out row in a chunk ranks them all from its gather.
-        scanned, chunks = [], []
-        rater_rows, eval_ratings = cf._rater_rows, evaluation._eval_ratings
-
-        def rows(matrix, aix, raters):
-            scanned.append((len(chunks) - 1, aix))
-            return rater_rows(matrix, aix, raters)
-
-        def chunk(matrix, calculator, config, held):
-            chunks.append(np.bincount(held[0], minlength=len(matrix.users)))
-            return eval_ratings(matrix, calculator, config, held)
-
-        cfg = RunConfig(method="wpc", k_values=(3,), seed=5, workers=1, sample_test=sample_test)
-        with mock.patch.object(cf, "_rater_rows", rows), mock.patch.object(
-            evaluation, "_eval_ratings", chunk
-        ):
-            run_experiment(as_ratings(synthetic_dataset()), cfg, StoreStub(synthetic_profiles()))
-        assert all(chunks[c][aix] == 1 for c, aix in scanned)
-        if sample_test is not None:  # single rows: some take the rows side
-            assert scanned
 
     @pytest.mark.parametrize("method", ["pc", "wpc"])
     def test_no_rating_lookup_on_the_evaluation_path(self, method, monkeypatch):
