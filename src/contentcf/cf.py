@@ -16,9 +16,14 @@ scanned for the user so far hold fewer entries than its item columns, then
 the gather, built once. ``_sweep`` computes deviations and weights for the
 kept entries alone. Every scan lists each rater's entries in ascending item
 order, so each rater's sums have the same bits. A user's scan state (its
-read-only gather and unweighted scores, and the row entries it scanned) is
-one ``_Scan`` record, memoised by ``_scan`` for the last (matrix, user) asked
-for, which keeps that matrix alive until the next.
+widened row, read-only gather and unweighted scores, and the row entries it
+scanned) is one ``_Scan`` record, memoised by ``_scan`` for the last (matrix,
+user) asked for, which keeps that matrix alive until the next or until
+``clear_scans``; a caller that drops a matrix clears the memo with it, so the
+memo never outlives it. The matrix stores indices narrow (see ``data``); a
+user's row and an item's column come widened to intp, and an index array
+joined from the matrix's own (the gather's raters, a rows scan's items) is
+widened once, before it indexes anything.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -169,18 +174,24 @@ def _correlate(
 class _Scan:
     """One user's scan state on one matrix. Its gather, every (item of the user, rater of that
     item) entry in the user's item order, then rater order, is three read-only arrays, None
-    until built."""
+    until built. The record holds no reference to its matrix; the memo's key does."""
 
+    row: tuple[np.ndarray, np.ndarray]  # the user's item indices and values, widened once
     offset: np.ndarray | None = None  # per item: its column's start minus its first entry here
     slot: np.ndarray | None = None  # each entry's item slot: uint16, or intp past 65,536 items
-    users: np.ndarray | None = None  # each entry's rater
+    users: np.ndarray | None = None  # each entry's rater, widened to intp once at build
     rows: int = 0  # the candidates' row entries scanned before the gather was built
     plain: tuple[np.ndarray, ...] | None = None  # the unweighted scores
 
 
 @functools.lru_cache(maxsize=1)
 def _scan(matrix: RatingMatrix, uix: int) -> _Scan:
-    return _Scan()
+    return _Scan(matrix._user_row(uix))
+
+
+def clear_scans() -> None:
+    """Forget the memoised scan record, and with it the last matrix it keeps alive."""
+    _scan.cache_clear()
 
 
 def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -200,22 +211,22 @@ def _gather(matrix: RatingMatrix, uix: int) -> _Scan:
     """User ``uix``'s scan record, with its gather built."""
     scan = _scan(matrix, uix)
     if scan.users is None:
-        items_a, _ = matrix._user_row(uix)
+        items_a, _ = scan.row
         starts, ends = matrix._iptr[items_a], matrix._iptr[items_a + 1]
         users, offset = _segments(matrix._iusers, starts, ends)
         slot = np.repeat(np.arange(items_a.size, dtype=index_dtype(items_a.size)), ends - starts)
-        scan.offset, scan.slot, scan.users = _frozen((offset, slot, users))
+        scan.offset, scan.slot, scan.users = _frozen((offset, slot, users.astype(np.intp)))
     return scan
 
 
 def _rater_rows(matrix: RatingMatrix, aix: int, raters: np.ndarray) -> tuple[np.ndarray, ...]:
     """(item slot, rater, value) of the raters' entries on ``aix``'s items, by rater, then item."""
-    items_a, _ = matrix._user_row(aix)
+    items_a, _ = _scan(matrix, aix).row
     slot_of = np.full(len(matrix.items), items_a.size, dtype=index_dtype(items_a.size + 1))
     slot_of[items_a] = np.arange(items_a.size)
     starts, ends = matrix._uptr[raters], matrix._uptr[raters + 1]
     rows, offset = _segments(matrix._uitems, starts, ends)
-    slot = slot_of[rows]
+    slot = slot_of[rows.astype(np.intp)]
     kept = np.flatnonzero(slot < items_a.size)
     owner = np.repeat(np.arange(raters.size, dtype=index_dtype(raters.size)), ends - starts)
     owner = owner[kept].astype(np.intp)  # each kept entry's rater
@@ -229,7 +240,7 @@ def _sweep(
     ``entries`` (item slot in a's row, rater, rater's value) alone; each rater's
     sums run in the entries' order, and only items on an entry need a weight."""
     slot, users, vals_u = entries
-    items_a, vals_a = matrix._user_row(aix)
+    items_a, vals_a = _scan(matrix, aix).row
     dev_a = (vals_a - matrix._umeans[aix])[slot]
     dev_u = vals_u - matrix._umeans[users]
     w = None
@@ -388,7 +399,7 @@ def _candidate_entries(matrix: RatingMatrix, aix: int, cand: np.ndarray) -> tupl
     scan = _scan(matrix, aix)
     if scan.users is None:
         scan.rows += int((matrix._uptr[cand + 1] - matrix._uptr[cand]).sum())
-        items_a, _ = matrix._user_row(aix)
+        items_a, _ = scan.row
         if scan.rows < (matrix._iptr[items_a + 1] - matrix._iptr[items_a]).sum():
             return _rater_rows(matrix, aix, cand)
     g = _gather(matrix, aix)

@@ -4,8 +4,12 @@ A rating set travels as ``RatingColumns``: one read-only array per field, so
 a million ratings cost four arrays rather than a million objects. The rating
 matrix keeps both a user-major and an item-major view as flat numpy arrays so
 that similarity sweeps over a user's items (and rater lookups for a target
-item) are vectorizable. It is immutable after construction and safe to share
-across worker processes or threads.
+item) are vectorizable. It stores them narrow: values as int8, user and item
+indices in ``index_dtype`` of the id count, item-major positions as int32, so
+an entry costs 10 bytes below 65,536 ids. A user's row and an item's column
+come out widened to intp and float64; a reader widens any other index array
+it takes from the matrix before it indexes with it or adds to it. The matrix
+is immutable after construction and safe to share across processes or threads.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ RATING_MAX = 5
 
 def index_dtype(n: int) -> type:
     """uint16 when every index is below ``n`` <= 65,536, else intp. numpy sorts and moves
-    16-bit indices faster, but indexes by intp several times faster."""
+    16-bit indices faster, but indexes by intp several times faster, and ``+ 1`` wraps in
+    uint16: widen an index array to intp before it indexes or takes arithmetic."""
     return np.uint16 if n <= 1 << 16 else np.intp
 
 
@@ -228,6 +233,13 @@ class RatingMatrix:
 
     A masked matrix (``_masked``, a fold's training set) keeps its source's
     ``users`` and ``items``; an id left without an entry is absent by its zero count.
+
+    Per entry it stores the values (``_uvals``, ``_ivals``) as int8, the item
+    and user indices (``_uitems``, ``_iusers``) in ``index_dtype`` of the item
+    and user counts, and the item-major permutation (``_by_item``) as int32
+    while the entries fit; a masked matrix shares its source's ids and so its
+    dtypes. Row pointers and means stay int64 and float64. Every public
+    accessor returns Python floats and the original ids.
     """
 
     def __init__(self, ratings: Iterable[Rating]):
@@ -240,8 +252,9 @@ class RatingMatrix:
         # A stable sort on one (user, item) key gives lexsort's permutation,
         # and input already grouped by user sorts in near-linear time.
         order = np.argsort(u_idx * len(items) + i_idx, kind="stable")
-        u_idx, i_idx = u_idx[order], i_idx[order]
-        vals = ratings.values[order].astype(np.float64)
+        u_idx = u_idx.astype(index_dtype(len(users)))[order]
+        i_idx = i_idx.astype(index_dtype(len(items)))[order]
+        vals = ratings.values.astype(np.int8)[order]
         dup = np.flatnonzero((np.diff(u_idx) == 0) & (np.diff(i_idx) == 0))
         if dup.size:
             pair = (users[u_idx[dup[0]]], items[i_idx[dup[0]]])
@@ -251,8 +264,7 @@ class RatingMatrix:
         self._uindex: dict[UserId, int] = {u: i for i, u in enumerate(users)}
         self._iindex: dict[ItemId, int] = {m: i for i, m in enumerate(items)}
         # numpy radix-sorts 16-bit keys, and a stable order is unique whatever the key's dtype.
-        by_item = np.argsort(i_idx.astype(index_dtype(len(items)), copy=False), kind="stable")
-        self._build(u_idx, i_idx, vals, by_item)
+        self._build(u_idx, i_idx, vals, np.argsort(i_idx, kind="stable"))
 
     def _build(self, u_idx, i_idx, vals, by_item) -> None:
         """Index entries, given in (user, item) order, over this matrix's ids;
@@ -262,7 +274,7 @@ class RatingMatrix:
         self._uptr = np.concatenate(([0], np.cumsum(ucount)))
         self._uitems, self._uvals = i_idx, vals
         self._iptr = np.concatenate(([0], np.cumsum(icount)))
-        self._by_item = by_item
+        self._by_item = by_item.astype(np.int32 if by_item.size < 1 << 31 else np.intp, copy=False)
         self._iusers, self._ivals = u_idx[by_item], vals[by_item]
         # Counts as lists, so a presence check is a plain read; the trailing 0
         # is the count of an unknown id, looked up at index -1.
@@ -288,8 +300,12 @@ class RatingMatrix:
         sub = object.__new__(RatingMatrix)
         sub._users, sub._items = self._users, self._items
         sub._uindex, sub._iindex = self._uindex, self._iindex
-        before = np.concatenate(([0], np.cumsum(keep)))  # kept entries before each entry
-        users = np.repeat(np.arange(len(self._users)), np.diff(before[self._uptr]))
+        # The kept entries before each entry, and the item order, index here as int32: a
+        # widened copy would add 8 bytes an entry to a fold build's peak memory.
+        before = np.zeros(keep.size + 1, dtype=self._by_item.dtype)
+        np.cumsum(keep, dtype=before.dtype, out=before[1:])
+        users = np.arange(len(self._users), dtype=self._iusers.dtype)
+        users = np.repeat(users, np.diff(before[self._uptr]))
         by_item = before[self._by_item[keep[self._by_item]]]
         sub._build(users, self._uitems[keep], self._uvals[keep], by_item)
         return sub
@@ -365,11 +381,11 @@ class RatingMatrix:
 
     def _user_row(self, uix: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._uptr[uix], self._uptr[uix + 1]
-        return self._uitems[lo:hi], self._uvals[lo:hi]
+        return self._uitems[lo:hi].astype(np.intp), self._uvals[lo:hi].astype(np.float64)
 
     def _item_col(self, iix: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._iptr[iix], self._iptr[iix + 1]
-        return self._iusers[lo:hi], self._ivals[lo:hi]
+        return self._iusers[lo:hi].astype(np.intp), self._ivals[lo:hi].astype(np.float64)
 
 
 def _encode(ids: np.ndarray) -> tuple[tuple, np.ndarray]:

@@ -34,7 +34,7 @@ from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
-from .cf import EMPTY_RANKING, Denominator, NeighborSet, predict, rank_candidates
+from .cf import EMPTY_RANKING, Denominator, NeighborSet, clear_scans, predict, rank_candidates
 from .data import ItemId, Rating, RatingMatrix, UserId, build_matrix, check_choice
 from .weighting import K0Branch, WeightCalculator
 
@@ -106,7 +106,8 @@ def split_folds(
             rng = np.random.default_rng([_FOLD_STREAM, _entropy_int(seed), _entropy_int(item_id)])
             perm = rng.permutation(hi - lo)
             start = int(rng.integers(n_folds))
-            fold[matrix._by_item[lo + perm]] = (start + np.arange(hi - lo)) % n_folds
+            at = matrix._by_item[lo + perm].astype(np.intp)
+            fold[at] = (start + np.arange(hi - lo)) % n_folds
 
     return _split(ratings, seed, n_folds, deal)
 
@@ -218,13 +219,15 @@ def _eval_chunk(task):
 
 def _fold_evaluator(folds: FoldAssignment, calculator, config: RunConfig):
     """The evaluator of tasks (fold, held-out entry indices of the run's matrix).
-    It builds a fold's training matrix on its first task of that fold and keeps the latest."""
+    It builds a fold's training matrix on its first task of that fold and keeps the latest;
+    the one it drops is freed before the next is built."""
     latest: dict[int, RatingMatrix] = {}
 
     def evaluate(task):
         f, held = task
         if f not in latest:
             latest.clear()
+            clear_scans()  # cf's scan memo holds the dropped matrix too
             # A fold holding every rating leaves an empty matrix: every row is skipped.
             latest[f] = folds.matrix._masked(folds.fold != f)
         return _eval_ratings(latest[f], calculator, config, folds.matrix._entries(held))

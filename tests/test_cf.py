@@ -24,7 +24,7 @@ from contentcf.cf import (
     significance_factor,
     weighted_pearson,
 )
-from contentcf.data import RatingColumns, RatingMatrix, build_matrix
+from contentcf.data import RatingColumns, RatingMatrix, build_matrix, index_dtype
 from contentcf.weighting import WeightVector
 from conftest import as_ratings, rating_triples
 from oracle import by_user, naive_pearson, naive_rank
@@ -689,14 +689,16 @@ class TestColdScanCases:
         assert sorted(r[0] for r in ranked) == [10, 11, 12, 13]
         assert {r[4] for r in ranked} == {1}
 
-    @pytest.mark.parametrize("n_items", [1 << 16, (1 << 16) + 1])
+    @pytest.mark.parametrize("n_items", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
     def test_item_slot_dtype_at_the_uint16_bound(self, n_items):
-        # User 0 rates every item; users 1 and 2 rate a few of them and the target.
+        # User 0 rates every item; users 1 and 2 rate a few of them and the target, the
+        # last item, whose index + 1 wraps in uint16 at 65,536 items.
         items = np.arange(n_items)
         users = np.concatenate([np.zeros(n_items, dtype=np.int64), [1, 1, 1, 2, 2, 2]])
         items = np.concatenate([items, [0, n_items - 1, 5, 3, n_items - 1, 6]])
         values = np.concatenate([1 + items[:n_items] % 5, [5, 1, 4, 2, 2, 3]])
         m = RatingMatrix(RatingColumns(users, items, values, np.zeros(users.size, dtype=np.int64)))
+        assert m._uitems.dtype == index_dtype(n_items) and m._iusers.dtype == np.uint16
         cf._scan.cache_clear()
         g = cf._gather(m, 0)
         assert g.slot.dtype == (np.uint16 if n_items <= 1 << 16 else np.intp)
@@ -704,6 +706,35 @@ class TestColdScanCases:
         triples = list(zip(users.tolist(), items.tolist(), values.tolist()))
         weights = {i: 0.5 + (i % 7) / 4 for i in range(n_items)}
         assert len(_check_every_scan(triples, 0, n_items - 1, weights)) == 2
+
+    @pytest.mark.parametrize("n_users", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+    def test_rater_index_dtype_at_the_uint16_bound(self, n_users):
+        # User 0 rates items 0-2; user 1 and the last user, whose index + 1 wraps in
+        # uint16 at 65,536 users, rate them and the target 9; the rest rate item 8.
+        last = n_users - 1
+        triples = [(0, 0, 5), (0, 1, 1), (0, 2, 3), (1, 0, 4), (1, 2, 2), (1, 9, 5)]
+        triples += [(last, 0, 2), (last, 1, 4), (last, 2, 3), (last, 9, 1)]
+        triples += [(u, 8, 1 + u % 5) for u in range(2, last)]
+        m = build_matrix(as_ratings(triples))
+        assert m._iusers.dtype == index_dtype(n_users) and m._uitems.dtype == np.uint16
+        cf._scan.cache_clear()
+        g = cf._gather(m, 0)
+        assert g.users.dtype == np.intp and g.users[-1] == last
+        # The accessors widen, so no scan's ``+ 1`` can wrap.
+        raters, values = m._item_col(m._item_index(9))
+        assert raters.dtype == np.intp and raters.tolist() == [1, last]
+        assert values.dtype == np.float64
+        assert [a.dtype for a in m._user_row(last)] == [np.intp, np.float64]
+
+        ranked = _check_every_scan(triples, 0, 9, self.WEIGHTS)
+        assert sorted(r[0] for r in ranked) == [1, last]
+        table = by_user(triples)
+        cf._scan.cache_clear()
+        assert _bits(_as_rows(rank_candidates(0, 9, m))) == _bits(naive_rank(table, 0, 9))
+        for a, u in ((0, last), (last, 0), (last, 1)):
+            cf._scan.cache_clear()
+            (raw, overlap), (want, want_overlap) = pearson(a, u, m), naive_pearson(table, a, u)
+            assert (raw.hex(), overlap) == (want.hex(), want_overlap)
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,6 +17,7 @@ from contentcf.data import (
     RatingColumns,
     _encode,
     build_matrix,
+    index_dtype,
 )
 from contentcf.ingest import parse_ratings
 from conftest import as_ratings, rating_triples
@@ -155,8 +156,15 @@ def test_masked_submatrix_equals_a_fresh_build(triples, data):
     u_counts, i_counts = np.diff(sub._uptr), np.diff(sub._iptr)
     assert _same(u_counts[u_map >= 0], np.diff(fresh._uptr)) and not u_counts[u_map < 0].any()
     assert _same(i_counts[i_map >= 0], np.diff(fresh._iptr)) and not i_counts[i_map < 0].any()
-    assert _same(i_map[sub._uitems], fresh._uitems) and _same(sub._uvals, fresh._uvals)
-    assert _same(u_map[sub._iusers], fresh._iusers) and _same(sub._ivals, fresh._ivals)
+    # A masked matrix keeps its source's index space, so its index dtypes follow
+    # the source's id counts; a fresh build's follow its own.
+    for m, ids in ((sub, full), (fresh, fresh)):
+        assert m._uitems.dtype == index_dtype(len(ids.items))
+        assert m._iusers.dtype == index_dtype(len(ids.users))
+    assert i_map[sub._uitems].tolist() == fresh._uitems.tolist()
+    assert u_map[sub._iusers].tolist() == fresh._iusers.tolist()
+    assert _same(sub._uvals, fresh._uvals) and _same(sub._ivals, fresh._ivals)
+    assert sub._by_item.dtype == fresh._by_item.dtype == np.int32
     assert _same(sub._umeans[u_map >= 0], fresh._umeans)
     assert np.isnan(sub._umeans[u_map < 0]).all()
 
@@ -375,6 +383,59 @@ def test_item_order_at_the_uint16_bound(n_items):
     keys = [c.args[0].dtype for c in argsort.call_args_list]
     assert (np.dtype(np.uint16) in keys) == (n_items <= 1 << 16)
     assert m._by_item.tolist() == np.argsort(m._uitems, kind="stable").tolist()
+
+
+# -- compact storage -------------------------------------------------------------
+
+_PER_ENTRY = ("_uitems", "_uvals", "_by_item", "_iusers", "_ivals")
+
+
+def _diagonal(n):
+    """Columns where user u rates item u, for n users and n items."""
+    ids = np.arange(n)
+    return RatingColumns(ids, ids, 1 + ids % 5, np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n_ids", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+def test_entry_dtypes_at_the_uint16_bound(n_ids):
+    m = build_matrix(_diagonal(n_ids))
+    keep = np.arange(n_ids) % 3 > 0
+    for matrix in (m, m._masked(keep)):
+        index = np.uint16 if n_ids <= 1 << 16 else np.intp
+        assert matrix._uitems.dtype == matrix._iusers.dtype == index
+        assert matrix._uvals.dtype == matrix._ivals.dtype == np.int8
+        assert matrix._by_item.dtype == np.int32
+        assert matrix._uptr.dtype == matrix._iptr.dtype == np.int64
+    last = n_ids - 1
+    assert m.raters_of(last) == frozenset({last})
+    assert m.ratings_of(last) == {last: float(1 + last % 5)}
+    assert m._masked(keep).rating(last, last) == (float(1 + last % 5) if last % 3 else None)
+
+
+@settings(max_examples=50)
+@given(rating_triples(max_ratings=50), st.data())
+def test_an_entry_takes_ten_bytes_below_65536_ids(triples, data):
+    full, sub, _ = _masked_and_fresh(triples, data)
+    for m in (full, sub):
+        assert sum(getattr(m, name).nbytes for name in _PER_ENTRY) == 10 * m.n_ratings
+
+
+@pytest.mark.parametrize("named", [False, True])
+def test_accessors_return_python_floats_and_the_original_ids(named):
+    user, item = (lambda u: f"u{u}", lambda i: f"m{i}") if named else (int, int)
+    triples = [(1, 1, 4), (1, 2, 2), (1, 3, 5), (2, 1, 5), (2, 2, 1), (2, 3, 4), (3, 1, 3)]
+    m = build_matrix(as_ratings([(user(u), item(i), v) for u, i, v in triples]))
+    id_type = type(user(1))
+    assert type(m.rating(user(1), item(2))) is float
+    assert all(type(v) is float for v in m.ratings_of(user(1)).values())
+    assert all(type(i) is id_type for i in m.ratings_of(user(1)))
+    assert type(m.mean_of(user(2))) is float
+    assert all(type(v) is float for v in m.user_means.values())
+    assert m.raters_of(item(1)) == {user(1), user(2), user(3)}
+    assert all(type(u) is id_type for u in m.raters_of(item(1)))
+    ranked = rank_candidates(user(3), item(1), m)
+    assert [s.user_id for s in ranked] == [user(1), user(2)]
+    assert all(type(s.user_id) is id_type and type(s.raw) is float for s in ranked)
 
 
 class TestMovieProfile:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -403,6 +404,25 @@ class TestOnePoolPerRun:
         run_experiment(rs, RunConfig(k_values=(3,), seed=2, workers=workers))
         assert len(masked) == parent_builds
         assert evaluation._worker == {}
+
+    @pytest.mark.parametrize("method", ["pc", "wpc"])
+    def test_a_dropped_fold_matrix_is_freed_before_the_next_is_built(self, monkeypatch, method):
+        built = []
+        original = RatingMatrix._masked
+
+        def masked(self, keep):
+            # No earlier fold's matrix is alive, cf's scan memo included.
+            assert [ref() for ref in built] == [None] * len(built)
+            sub = original(self, keep)
+            built.append(weakref.ref(sub))
+            return sub
+
+        monkeypatch.setattr(RatingMatrix, "_masked", masked)
+        rs = as_ratings(synthetic_dataset())
+        profiles = StoreStub(synthetic_profiles()) if method == "wpc" else None
+        cfg = RunConfig(method=method, k_values=(3,), seed=2, workers=1)
+        run_experiment(rs, cfg, profiles=profiles)
+        assert len(built) == 5
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failing_chunk_leaves_no_worker_state(self, monkeypatch, workers):
