@@ -1,7 +1,9 @@
 """Core immutable data structures: ratings, the sparse rating matrix, movie profiles.
 
 A rating set travels as ``RatingColumns``: one read-only array per field, so
-a million ratings cost four arrays rather than a million objects. The rating
+a million ratings cost four arrays rather than a million objects; a parsed
+file's columns are each in the narrowest integer dtype that holds them, so
+a reader widens a column before arithmetic that could overflow it. The rating
 matrix keeps both a user-major and an item-major view as flat numpy arrays so
 that similarity sweeps over a user's items (and rater lookups for a target
 item) are vectorizable. It stores them narrow: values as int8, user and item
@@ -64,8 +66,10 @@ class Rating:
 class RatingColumns(Sequence):
     """Ratings as four read-only arrays: user ids, item ids, values, timestamps.
 
-    Parsed files give int64 columns; the columns of arbitrary ``Rating``
-    objects (``from_ratings``) keep ids and timestamps as Python objects.
+    Parsed files give each column in the narrowest of int8, int16, int32 and
+    int64 that holds its values; widen one before arithmetic that could leave
+    that range. The columns of arbitrary ``Rating`` objects (``from_ratings``)
+    keep ids and timestamps as Python objects, and values as int8.
     Indexing builds a ``Rating``, a slice is a view of the same arrays, and
     the columns compare equal to a list or tuple of the same ratings. Not
     hashable.
@@ -97,7 +101,7 @@ class RatingColumns(Sequence):
         cols = [np.empty(len(rows), dtype=object) for _ in range(4)]
         for col, field in zip(cols, zip(*rows)):
             col[:] = field
-        cols[2] = cols[2].astype(np.int64)
+        cols[2] = cols[2].astype(np.int8)
         return cls(*cols)
 
     @property
@@ -254,7 +258,7 @@ class RatingMatrix:
         order = np.argsort(u_idx * len(items) + i_idx, kind="stable")
         u_idx = u_idx.astype(index_dtype(len(users)))[order]
         i_idx = i_idx.astype(index_dtype(len(items)))[order]
-        vals = ratings.values.astype(np.int8)[order]
+        vals = ratings.values.astype(np.int8, copy=False)[order]
         dup = np.flatnonzero((np.diff(u_idx) == 0) & (np.diff(i_idx) == 0))
         if dup.size:
             pair = (users[u_idx[dup[0]]], items[i_idx[dup[0]]])
@@ -392,6 +396,7 @@ def _encode(ids: np.ndarray) -> tuple[tuple, np.ndarray]:
     """The distinct ids, ascending, as Python objects, and each id's index among them;
     integer ids below len(ids) are ranked by a presence table, in linear time."""
     if ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < ids.size:
+        ids = ids.astype(np.intp)  # narrow ids would overflow in max() + 1
         present = np.zeros(ids.max() + 1, dtype=bool)
         present[ids] = True
         return tuple(np.flatnonzero(present).tolist()), (present.cumsum(dtype=np.int64) - 1)[ids]

@@ -316,6 +316,8 @@ def run_experiment(
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork: evaluate serially
+        if n_workers > 1:
+            logger.warning("no fork start method: evaluating serially, not with %d workers", n_workers)
         n_workers = 1
 
     # Tasks in fold order; a fold's held-out entries are in (user, item) order.

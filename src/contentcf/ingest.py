@@ -89,6 +89,8 @@ class ProfileStore:
 # Characters per parse block; each block is extended to the end of its last line.
 _BLOCK_CHARS = 1 << 20
 _INT64 = np.iinfo(np.int64)
+# A parsed column's candidate dtypes, narrowest first.
+_NARROW = tuple(map(np.iinfo, (np.int8, np.int16, np.int32, np.int64)))
 # The only bytes of a block the byte path parses.
 _PLAIN_BYTES = b"0123456789:\n"
 # Field digits on the byte path; 18 nines are below 2**63, so no field overflows.
@@ -102,8 +104,11 @@ def parse_ratings(path) -> RatingColumns:
     lines (four fields of 1-18 ASCII digits joined by ``::``, no blank lines)
     takes a checked byte path: its layout is checked on arrays and numpy's C
     reader parses it. Any other block's fields go through ``int``; both give
-    an int64 table and the same values. The 1-5 range is checked on the
-    columns. Blank lines are skipped. A file that fails any check is
+    the same values. Each column is stored in the narrowest of int8, int16,
+    int32 and int64 that holds all its values (ML-1M: int16 ids, int8
+    values, int32 timestamps, 9 bytes a rating), so a caller widens a column
+    before arithmetic that could leave that range. The 1-5 range is checked
+    on the columns. Blank lines are skipped. A file that fails any check is
     rescanned line by line only to raise the error of its first bad line, as
     ``path: line N: ...``. Ids and timestamps must fit in 64 bits.
     """
@@ -111,7 +116,9 @@ def parse_ratings(path) -> RatingColumns:
         with open(path, "r", encoding="utf-8") as fh:
             blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
             tables = [_parse_block(block) for block in blocks]
-        columns = RatingColumns(*np.concatenate([np.empty((4, 0), np.int64), *tables], axis=1))
+        # After an empty int8 table, joining promotes each column to the
+        # widest of its blocks' dtypes, and a file without lines has 4 columns.
+        columns = RatingColumns(*map(np.concatenate, zip(np.empty((4, 0), np.int8), *tables)))
     except (ValueError, OverflowError):
         columns = None
     if columns is None:
@@ -121,11 +128,19 @@ def parse_ratings(path) -> RatingColumns:
     return columns
 
 
-def _parse_block(block: str) -> np.ndarray:
-    """The (4, n) int64 fields of a block's non-blank lines; ValueError if a
-    line does not have 4 fields or a field is not an integer."""
+def _parse_block(block: str) -> tuple[np.ndarray, ...]:
+    """The 4 fields of a block's non-blank lines, as columns, each in the
+    narrowest signed dtype that holds its values; ValueError if a line does
+    not have 4 fields or a field is not an integer."""
     table = _digit_table(block.encode("ascii")) if block.isascii() else None
-    return _int_table(block) if table is None else table
+    table = _int_table(block) if table is None else table
+    return tuple(col.astype(_narrowest(col)) for col in table)
+
+
+def _narrowest(col: np.ndarray) -> np.dtype:
+    """The narrowest signed dtype that holds every value of ``col``."""
+    lo, hi = (col.min(), col.max()) if col.size else (0, 0)
+    return next(t.dtype for t in _NARROW if t.min <= lo and hi <= t.max)
 
 
 def _digit_table(data: bytes) -> np.ndarray | None:

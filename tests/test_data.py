@@ -254,7 +254,13 @@ class TestRatingColumns:
         rs = as_ratings([("b", 2, 3), ("a", 10**30, 5)])
         cols = RatingColumns.from_ratings(iter(rs))
         assert cols == rs
-        assert cols.user_ids.dtype == object and cols.values.dtype == np.int64
+        assert cols.user_ids.dtype == object and cols.values.dtype == np.int8
+
+    def test_from_ratings_stores_values_as_int8(self):
+        rs = [Rating(1, 10, 5), Rating(2, 10, np.int64(1)), Rating(3, 10, np.uint8(3))]
+        cols = RatingColumns.from_ratings(rs)
+        assert cols.values.dtype == np.int8 and cols.values.tolist() == [5, 1, 3]
+        assert cols == rs
 
 
 def _matrix_bits(m):
@@ -394,6 +400,32 @@ def _diagonal(n):
     """Columns where user u rates item u, for n users and n items."""
     ids = np.arange(n)
     return RatingColumns(ids, ids, 1 + ids % 5, np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "rows, dtype",
+    [
+        # 254 ratings: ids 1-127 are int8, and below the rating count.
+        ([(u, i, 1 + (u + i) % 5) for u in range(1, 128) for i in (1, 2)], np.int8),
+        # 49,152 ratings: ids up to 32,767 are int16, and below the rating count.
+        ([(u, i, 1 + (u * i) % 5) for u in range(1, 1 << 15, 2) for i in (32765, 32766, 32767)],
+         np.int16),
+    ],
+    ids=["int8", "int16"],
+)
+def test_narrow_parsed_ids_build_the_matrix_of_int64_ids(tmp_path, rows, dtype):
+    """``build_matrix`` on parsed columns whose largest id is its dtype's
+    maximum: ``max() + 1`` must not wrap in the ids' own dtype."""
+    path = tmp_path / "ratings.dat"
+    path.write_text("".join(f"{u}::{i}::{v}::0\n" for u, i, v in rows))
+    cols = parse_ratings(path)
+    assert cols.user_ids.dtype == cols.item_ids.dtype == dtype
+    wide = RatingColumns(cols.user_ids.astype(np.int64), cols.item_ids.astype(np.int64),
+                         cols.values.astype(np.int64), cols.timestamps.astype(np.int64))
+    narrow, want = build_matrix(cols), build_matrix(wide)
+    assert narrow.users == want.users and narrow.items == want.items
+    assert all(type(u) is int for u in narrow.users)
+    assert _matrix_bits(narrow) == _matrix_bits(want)
 
 
 @pytest.mark.parametrize("n_ids", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])

@@ -243,6 +243,20 @@ class TestRunExperiment:
         parallel = run_experiment(rs, RunConfig(method="pc", k_values=(3,), seed=2, workers=2))
         assert serial == parallel
 
+    def test_without_fork_a_run_warns_and_runs_serially(self, monkeypatch, caplog):
+        rs = as_ratings(synthetic_dataset(n_users=30, seed=17))
+        serial = run_experiment(rs, RunConfig(method="pc", k_values=(3,), seed=2, workers=1))
+
+        def no_fork(method):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(evaluation.multiprocessing, "get_context", no_fork)
+        with caplog.at_level(logging.WARNING, logger=evaluation.__name__):
+            reports = run_experiment(rs, RunConfig(method="pc", k_values=(3,), seed=2, workers=3))
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["no fork start method: evaluating serially, not with 3 workers"]
+        assert reports == serial
+
     def test_wpc_without_profiles_rejected(self):
         rs = as_ratings(synthetic_dataset())
         with pytest.raises(ValueError, match="profiles"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contentcf import ingest
-from contentcf.data import MovieProfile, ProfileSource, RatingColumns
+from contentcf.data import MovieProfile, ProfileSource, Rating, RatingColumns
 from contentcf.ingest import (
     FetchError,
     FetchLogEntry,
@@ -183,6 +184,15 @@ def parse_outcome(path):
         return exc
 
 
+def narrowest(values):
+    """The dtype a parsed column must have: the narrowest of int8, int16,
+    int32 and int64 whose range holds every one of ``values``."""
+    for bits in (8, 16, 32, 64):
+        if all(-(2 ** (bits - 1)) <= v < 2 ** (bits - 1) for v in values):
+            return np.dtype(f"int{bits}")
+    raise AssertionError("a value past int64")
+
+
 def assert_matches_oracle(path, block_chars):
     """``parse_ratings`` at ``block_chars`` gives the oracle's rows or its error."""
     want = oracle_outcome(path)
@@ -193,7 +203,7 @@ def assert_matches_oracle(path, block_chars):
         assert [(r.user_id, r.item_id, r.value, r.timestamp) for r in got] == want
         arrays = (got.user_ids, got.item_ids, got.values, got.timestamps)
         assert list(zip(*(a.tolist() for a in arrays))) == want
-        assert all(a.dtype == np.int64 for a in arrays)
+        assert [a.dtype for a in arrays] == [narrowest(col) for col in zip(*want)]
     else:
         assert type(got) is ValueError
         if "64-bit" in want:
@@ -229,7 +239,7 @@ class TestParseRatingsColumns:
     @pytest.mark.parametrize("field", [str(v) for v in PAST_INT64])
     @pytest.mark.parametrize("column", [0, 1, 3])
     def test_ids_and_timestamps_past_int64_fail_at_their_line(self, tmp_path, field, column):
-        """The columns are int64: a wider id or timestamp is rejected, not parsed."""
+        """No column is wider than int64: a wider id or timestamp is rejected, not parsed."""
         fields = ["1", "2", "3", "4"]
         fields[column] = field
         path = tmp_path / "ratings.dat"
@@ -371,11 +381,103 @@ class TestPlainDigitPath:
             with mock.patch.object(ingest, "_int_table", side_effect=AssertionError("int path")):
                 got = parse_ratings(path)
         assert columns_or_message(got) == [
-            (np.dtype(np.int64), [1, 2]),
-            (np.dtype(np.int64), [1193, 661]),
-            (np.dtype(np.int64), [5, 3]),
-            (np.dtype(np.int64), [978300760, 978302109]),
+            (np.dtype(np.int8), [1, 2]),
+            (np.dtype(np.int16), [1193, 661]),
+            (np.dtype(np.int8), [5, 3]),
+            (np.dtype(np.int32), [978300760, 978302109]),
         ]
+
+
+# Values at the edges of each signed dtype, with the narrowest dtype that holds them.
+DTYPE_EDGES = [
+    (127, np.int8), (128, np.int16), (-128, np.int8), (-129, np.int16),
+    (2**15 - 1, np.int16), (2**15, np.int32), (-(2**15), np.int16), (-(2**15) - 1, np.int32),
+    (2**31 - 1, np.int32), (2**31, np.int64), (-(2**31), np.int32), (-(2**31) - 1, np.int64),
+    (INT64_MAX, np.int64), (INT64_MIN, np.int64),
+]
+
+
+def parse_both_paths(path):
+    """``parse_ratings``' outcome through the ``int`` path; a file the byte
+    path takes gives the same outcome on the byte path alone."""
+    with mock.patch.object(ingest, "_digit_table", return_value=None):
+        through_int = columns_or_message(parse_ratings(path))
+    if ingest._digit_table(path.read_bytes()) is not None:
+        with mock.patch.object(ingest, "_int_table", side_effect=AssertionError("int path")):
+            assert columns_or_message(parse_ratings(path)) == through_int
+    return through_int
+
+
+class TestNarrowColumns:
+    """Each parsed column is in the narrowest of int8, int16, int32 and int64
+    that holds its values, the same on the byte path and the ``int`` path."""
+
+    @pytest.mark.parametrize("value, dtype", DTYPE_EDGES)
+    @pytest.mark.parametrize("column", [0, 1, 3])
+    def test_a_column_at_the_edge_of_its_dtype(self, tmp_path, column, value, dtype):
+        rows = [[5, 6, 1, 7], [1, 2, 5, 4]]
+        rows[1][column] = value
+        path = tmp_path / "ratings.dat"
+        path.write_text("".join("::".join(map(str, row)) + "\n" for row in rows))
+        want = [(np.dtype(np.int8), list(col)) for col in zip(*rows)]
+        want[column] = (np.dtype(dtype), want[column][1])
+        assert parse_both_paths(path) == want
+
+    def test_one_block_narrows_and_a_later_one_does_not(self, tmp_path):
+        rows = [(u, u + 1, 1 + u % 5, u) for u in range(1, 40)] + [(300, 40000, 2, 2**31)]
+        path = tmp_path / "ratings.dat"
+        path.write_text("".join("::".join(map(str, row)) + "\n" for row in rows))
+        seen, parse_block = [], ingest._parse_block
+
+        def recording(block):
+            cols = parse_block(block)
+            seen.append([c.dtype for c in cols])
+            return cols
+
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 64):
+            with mock.patch.object(ingest, "_parse_block", recording):
+                got = parse_ratings(path)
+            assert parse_both_paths(path) == columns_or_message(got)
+        assert len(seen) > 2
+        assert seen[0] == [np.dtype(np.int8)] * 4
+        assert seen[-1] == [np.dtype(t) for t in (np.int16, np.int32, np.int8, np.int64)]
+        assert columns_or_message(got) == [
+            (np.dtype(t), list(col))
+            for t, col in zip((np.int16, np.int32, np.int8, np.int64), zip(*rows))
+        ]
+
+    def test_nine_bytes_a_rating(self, tmp_path):
+        """Ids below 32,768 and timestamps below 2**31: int16, int16, int8, int32."""
+        rows = [(u, 32767 - u, 1 + u % 5, 2**31 - 1 - u) for u in range(1000)]
+        path = tmp_path / "ratings.dat"
+        path.write_text("".join("::".join(map(str, row)) + "\n" for row in rows))
+        cols = parse_ratings(path)
+        assert cols == [Rating(*row) for row in rows]
+        arrays = (cols.user_ids, cols.item_ids, cols.values, cols.timestamps)
+        assert sum(a.nbytes for a in arrays) == 9 * len(rows)
+
+    def test_parse_peak_stays_below_one_int64_table_of_the_file(self, tmp_path):
+        """The bound: while the blocks are joined, their narrow columns and the
+        joined ones are alive, 2 x 9 bytes a rating, and the 1-5 check adds 3
+        bytes of masks; 24 leaves room for the blocks' array headers (under 1
+        byte a rating at 16 KiB blocks). A whole-file int64 table is 32 bytes a
+        rating on its own, so building one breaks the bound."""
+        n = 40_000
+        path = tmp_path / "ratings.dat"
+        path.write_text(
+            "".join(f"{u % 6040 + 1}::{u % 3706 + 1}::{1 + u % 5}::{978300000 + u}\n"
+                    for u in range(n))
+        )
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 1 << 14):
+            tracemalloc.start()
+            try:
+                cols = parse_ratings(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert path.stat().st_size > 50 * (1 << 14)  # many blocks
+        assert len(cols) == n
+        assert peak < 24 * n
 
 
 class TestParseMovies:
