@@ -11,6 +11,7 @@ import argparse
 import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import get_args
 
@@ -26,8 +27,9 @@ ENDPOINT_ENV_VAR = "CONTENTCF_SPARQL_ENDPOINT"
 DEFAULT_ENDPOINT = "https://dbpedia.org/sparql"
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Parse `key=value` lines; '#' starts a comment, blank lines are ignored."""
+def _read_config_file(path: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """Parse `key=value` lines; '#' starts a comment, blank lines are ignored.
+    A key outside ``keys``, the ones the command reads, is an error."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -36,19 +38,17 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = map(str.strip, line.partition("="))
+            if key not in keys:
+                raise ValueError(f"{path}: line {lineno}: this command reads no key {key!r}")
+            values[key] = value
     return values
 
 
 def _setting(args: argparse.Namespace, config: dict[str, str], name: str, default=None):
     """Flag value if given, else config-file value, else default."""
     flag_value = getattr(args, name.replace("-", "_"), None)
-    if flag_value is not None:
-        return flag_value
-    if name in config:
-        return config[name]
-    return default
+    return config.get(name, default) if flag_value is None else flag_value
 
 
 def _parse_k_list(text: str) -> tuple[int, ...]:
@@ -58,11 +58,25 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad k list {text!r}; expected e.g. 5,10,20") from None
 
 
+# Each run setting a flag or the config file may give, with the parser of its text.
+_RUN_SETTINGS = {
+    "method": str, "k": _parse_k_list, "k0-branch": str, "denominator": str, "min-sim": float,
+    "seed": int, "sample-test": int, "split": str, "workers": int,
+}
+_RUN_KEYS = (
+    "data-dir", "ratings", "profiles", "method", "k", "k0-branch", "denominator", "min-sim",
+)
+# The config-file keys each command reads.
+_CONFIG_KEYS = {
+    "fetch-metadata": ("endpoint",),
+    "build-profiles": (),
+    "evaluate": _RUN_KEYS + ("seed", "sample-test", "split", "workers", "out"),
+    "predict": _RUN_KEYS,
+}
+
+
 def _endpoint(args: argparse.Namespace, config: dict[str, str]) -> str:
-    env = os.environ.get(ENDPOINT_ENV_VAR)
-    if env:
-        return env
-    return _setting(args, config, "endpoint", DEFAULT_ENDPOINT)
+    return os.environ.get(ENDPOINT_ENV_VAR) or _setting(args, config, "endpoint", DEFAULT_ENDPOINT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,12 +169,10 @@ def _cmd_fetch_metadata(args, config) -> int:
         limit=args.limit,
     )
     ingest.save_fetched(outcomes, args.out)
-    ok = sum(1 for o in outcomes if o.status == "ok")
+    counts = Counter(o.status for o in outcomes)
     logger.info(
         "wrote %d fetch records to %s (%d ok, %d not found, %d failed)",
-        len(outcomes), args.out, ok,
-        sum(1 for o in outcomes if o.status == "not-found"),
-        sum(1 for o in outcomes if o.status == "failed"),
+        len(outcomes), args.out, counts["ok"], counts["not-found"], counts["failed"],
     )
     return 0
 
@@ -179,24 +191,16 @@ def _cmd_build_profiles(args, config) -> int:
     return 0
 
 
-def _run_config(args, config, default_k: tuple[int, ...] = (5, 10, 20, 30, 50)) -> RunConfig:
-    k = _setting(args, config, "k")
-    if isinstance(k, str):
-        k = _parse_k_list(k)
-    min_sim = _setting(args, config, "min-sim")
-    sample_test = _setting(args, config, "sample-test")
-    workers = _setting(args, config, "workers")
-    return RunConfig(
-        method=_setting(args, config, "method", "pc"),
-        k_values=k or default_k,
-        seed=int(_setting(args, config, "seed", 42)),
-        k0_branch=_setting(args, config, "k0-branch", "mv"),
-        denominator=_setting(args, config, "denominator", "abs"),
-        min_sim=float(min_sim) if min_sim is not None else None,
-        sample_test=int(sample_test) if sample_test is not None else None,
-        workers=int(workers) if workers is not None else None,
-        split=_setting(args, config, "split", "per-item"),
-    )
+def _run_config(args, config, **defaults) -> RunConfig:
+    """The settings a flag or the config file gave, over ``defaults``;
+    ``RunConfig`` holds every other default."""
+    given = dict(defaults)
+    for name, parse in _RUN_SETTINGS.items():
+        value = _setting(args, config, name)
+        if value is not None:
+            field = "k_values" if name == "k" else name.replace("-", "_")
+            given[field] = parse(value) if isinstance(value, str) else value
+    return RunConfig(**given)
 
 
 def _load_profiles_if_needed(method: str, profiles_path: str | None):
@@ -223,7 +227,7 @@ def _cmd_evaluate(args, config) -> int:
 
 
 def _cmd_predict(args, config) -> int:
-    cfg = _run_config(args, config, default_k=(50,))
+    cfg = _run_config(args, config, k_values=(50,))
     if len(cfg.k_values) != 1:
         raise ValueError(f"predict takes one k, got {list(cfg.k_values)}")
     ratings = ingest.parse_ratings(_require_file(_ratings_path(args, config)))
@@ -265,10 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _read_config_file(args.config) if args.config else {}
+        config = _read_config_file(args.config, _CONFIG_KEYS[args.command]) if args.config else {}
         return _COMMANDS[args.command](args, config)
-    except SystemExit:
-        raise
     except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
         logger.error("%s", exc)
         return 1

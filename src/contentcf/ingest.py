@@ -15,13 +15,14 @@ import warnings
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .data import (
     MOVIELENS_GENRES,
+    RATING_MAX,
+    RATING_MIN,
     ItemId,
     MovieProfile,
     ProfileSource,
@@ -88,7 +89,8 @@ class ProfileStore:
 
 # Characters per parse block; each block is extended to the end of its last line.
 _BLOCK_CHARS = 1 << 20
-_INT64 = np.iinfo(np.int64)
+# Ids and timestamps must lie in int64's range.
+_INT64 = range(-(2**63), 2**63)
 # A parsed column's candidate dtypes, narrowest first.
 _NARROW = tuple(map(np.iinfo, (np.int8, np.int16, np.int32, np.int64)))
 # The only bytes of a block the byte path parses.
@@ -100,41 +102,37 @@ _MAX_DIGITS = 18
 def parse_ratings(path) -> RatingColumns:
     """Parse `UserID::MovieID::Rating::Timestamp` lines into columns, in file order.
 
-    The file is read in text mode, in blocks of whole lines. A block of plain
-    lines (four fields of 1-18 ASCII digits joined by ``::``, no blank lines)
-    takes a checked byte path: its layout is checked on arrays and numpy's C
-    reader parses it. Any other block's fields go through ``int``; both give
-    the same values. Each column is stored in the narrowest of int8, int16,
-    int32 and int64 that holds all its values (ML-1M: int16 ids, int8
-    values, int32 timestamps, 9 bytes a rating), so a caller widens a column
-    before arithmetic that could leave that range. The 1-5 range is checked
-    on the columns. Blank lines are skipped. A file that fails any check is
-    rescanned line by line only to raise the error of its first bad line, as
-    ``path: line N: ...``. Ids and timestamps must fit in 64 bits.
+    The file is read once, in text mode, in blocks of whole lines. A block of
+    plain lines (four fields of 1-18 ASCII digits joined by ``::``, no blank
+    lines) with every value 1-5 is checked on arrays and parsed by numpy's C
+    reader. Any other block is walked line by line through ``int``, skipping
+    blank lines; the walk raises its first bad line's error as ``path: line
+    N: ...``. Each column is stored in the narrowest of int8, int16, int32 and
+    int64 that holds its values (ML-1M: 9 bytes a rating), so a caller widens
+    a column before arithmetic that could leave that range. Ids and
+    timestamps must fit in 64 bits.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
-            tables = [_parse_block(block) for block in blocks]
-        # After an empty int8 table, joining promotes each column to the
-        # widest of its blocks' dtypes, and a file without lines has 4 columns.
-        columns = RatingColumns(*map(np.concatenate, zip(np.empty((4, 0), np.int8), *tables)))
-    except (ValueError, OverflowError):
-        columns = None
-    if columns is None:
-        _raise_first_error(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        tables = list(_block_tables(path, fh))
+    # After an empty int8 table, joining promotes each column to the widest
+    # of its blocks' dtypes, and a file without lines has 4 columns.
+    columns = RatingColumns(*map(np.concatenate, zip(np.empty((4, 0), np.int8), *tables)))
     if not columns:
         raise ValueError(f"{path}: no ratings found")
     return columns
 
 
-def _parse_block(block: str) -> tuple[np.ndarray, ...]:
-    """The 4 fields of a block's non-blank lines, as columns, each in the
-    narrowest signed dtype that holds its values; ValueError if a line does
-    not have 4 fields or a field is not an integer."""
-    table = _digit_table(block.encode("ascii")) if block.isascii() else None
-    table = _int_table(block) if table is None else table
-    return tuple(col.astype(_narrowest(col)) for col in table)
+def _block_tables(path, fh) -> Iterator[list[np.ndarray]]:
+    """Each block's 4 columns, each in the narrowest signed dtype that holds its values."""
+    first_line = 1
+    for block in iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), ""):
+        table = _digit_table(block.encode("ascii")) if block.isascii() else None
+        if table is not None and RATING_MIN <= table[2].min() and table[2].max() <= RATING_MAX:
+            first_line += table.shape[1]  # a plain block has no blank lines
+        else:
+            table = _line_table(path, block, first_line)
+            first_line += block.count("\n")
+        yield [col.astype(_narrowest(col)) for col in table]
 
 
 def _narrowest(col: np.ndarray) -> np.dtype:
@@ -179,39 +177,29 @@ def _plain_lines(data: bytes) -> int | None:
     return n if 1 <= digits.min() and digits.max() <= _MAX_DIGITS else None
 
 
-def _int_table(block: str) -> np.ndarray:
-    """`_parse_block` through ``int``: any line shape ``int`` accepts."""
-    lines = list(filter(None, block.split("\n")))
-    seps = np.fromiter(map(str.count, lines, repeat("::")), dtype=np.int64, count=len(lines))
-    if (seps != 3).any():
-        raise ValueError("a line does not have 4 fields")
-    # "::" never spans a line break, so these are the lines' fields in order.
-    fields = "\n".join(lines).replace("::", "\n").split("\n") if lines else []
-    table = np.fromiter(map(int, fields), dtype=np.int64, count=len(fields))
-    return table.reshape(-1, 4).T
-
-
-def _raise_first_error(path) -> NoReturn:
-    """Rescan the file line by line and raise the error of its first bad line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("::")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 '::' fields, got {len(parts)}")
-            try:
-                user_id, item_id, value, ts = (int(p) for p in parts)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer field in {line!r}") from None
+def _line_table(path, block: str, first_line: int) -> np.ndarray:
+    """The (4, n) table of a block's n non-blank lines through ``int``; raises
+    the error of its first bad line, numbered from the block's ``first_line``."""
+    fields = []
+    for lineno, line in enumerate(block.split("\n"), start=first_line):
+        if not line:
+            continue
+        parts = line.split("::")
+        if len(parts) != 4:
+            raise ValueError(f"{path}: line {lineno}: expected 4 '::' fields, got {len(parts)}")
+        try:
+            user_id, item_id, value, ts = row = list(map(int, parts))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-integer field in {line!r}") from None
+        if not RATING_MIN <= value <= RATING_MAX:
             try:
                 Rating(user_id=user_id, item_id=item_id, value=value, timestamp=ts)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not all(_INT64.min <= f <= _INT64.max for f in (user_id, item_id, ts)):
-                raise ValueError(f"{path}: line {lineno}: field out of 64-bit range in {line!r}")
-    raise RuntimeError(f"{path}: block parse failed, but no line is at fault")
+        if not (user_id in _INT64 and item_id in _INT64 and ts in _INT64):
+            raise ValueError(f"{path}: line {lineno}: field out of 64-bit range in {line!r}")
+        fields += row
+    return np.array(fields, dtype=np.int64).reshape(-1, 4).T
 
 
 def parse_movies(path) -> dict[ItemId, tuple[str, tuple[str, ...]]]:
@@ -418,9 +406,14 @@ def fetch_all(
 
     Each movie is queried with its year-stripped title first and retried with
     the raw title on an empty result. Failures are recorded, never raised.
-    Output is sorted by item id regardless of completion order.
+    Output is sorted by item id regardless of completion order. A setting
+    out of range raises ValueError before any request.
     """
-    todo = sorted(movies.items())[: limit if limit is not None else len(movies)]
+    for name, value, least in (("concurrency", concurrency, 1), ("retries", retries, 0),
+                               ("delay", delay, 0), ("limit", 0 if limit is None else limit, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    todo = sorted(movies.items())[:limit]
 
     def one(entry: tuple[ItemId, tuple[str, tuple[str, ...]]]) -> FetchOutcome:
         item_id, (title, _genres) = entry
@@ -453,7 +446,7 @@ def fetch_all(
             multi_title=result.distinct_titles > 1,
         )
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
         outcomes = list(pool.map(one, todo))
     return sorted(outcomes, key=lambda o: str(o.item_id))
 
@@ -491,10 +484,11 @@ def _read_records(
 ) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
-    A line that is not a JSON object, lacks a ``required`` field, or has a
-    ``checked`` field of the wrong type raises ValueError naming the file
-    and line.
+    A line that is not a JSON object, lacks a ``required`` field, has a
+    ``checked`` field of the wrong type or repeats an earlier record's
+    ``item_id`` raises ValueError naming the file and line.
     """
+    first_lines: dict[ItemId, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -513,6 +507,10 @@ def _read_records(
                 check, otherwise = _FIELD_CHECKS[field]
                 if field in record and not check(record[field]):
                     raise ValueError(f"{path}: line {lineno}: {field} is {otherwise}")
+            first = first_lines.setdefault(record["item_id"], lineno)
+            if first != lineno:
+                raise ValueError(f"{path}: line {lineno}: duplicate item_id "
+                                 f"{record['item_id']!r} (first on line {first})")
             yield lineno, record
 
 

@@ -8,10 +8,12 @@ import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from contentcf import ingest
 from contentcf.cli import build_parser, main
 from test_ingest import sparql_xml
 
@@ -223,6 +225,27 @@ class TestPredictCommand:
         assert rc == 1
         assert message in caplog.text
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (["evaluate", "--workers", "1"], "metod"),
+            (["predict", "--user", "1", "--item", "2"], "seed"),  # predict draws no folds
+            (["predict", "--user", "1", "--item", "2"], "out"),
+        ],
+    )
+    def test_config_file_key_the_command_does_not_read_rejected(
+        self, dataset, command, key, caplog
+    ):
+        cfg = dataset / "run.cfg"
+        cfg.write_text(f"k=1\n\n{key}=wpc\n")
+        out = dataset / "never.csv"
+        if command[0] == "evaluate":
+            command = command + ["--out", str(out)]
+        rc = main(command[:1] + ["--data-dir", str(dataset), "--config", str(cfg)] + command[1:])
+        assert rc == 1
+        assert f"run.cfg: line 3: this command reads no key '{key}'" in caplog.text
+        assert not out.exists()
+
     def test_unknown_user_exits_nonzero(self, dataset):
         with pytest.raises(SystemExit, match="user"):
             main(["predict", "--data-dir", str(dataset), "--user", "999", "--item", "1"])
@@ -318,6 +341,45 @@ class TestFetchMetadataCommand:
         )
         assert rc == 0
         assert '"status":"ok"' in out.read_text()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--concurrency", "0", "concurrency must be >= 1, got 0"),
+            ("--retries", "-1", "retries must be >= 0, got -1"),
+            ("--delay", "-1", "delay must be >= 0, got -1.0"),
+            ("--limit", "-1", "limit must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_setting_exits_1_before_any_request(
+        self, dataset, flag, value, message, caplog
+    ):
+        out = dataset / "fetched.jsonl"
+        with mock.patch.object(ingest, "fetch_profile", side_effect=AssertionError("request")):
+            rc = main(
+                [
+                    "fetch-metadata",
+                    "--movies", str(dataset / "movies.dat"),
+                    "--endpoint", "http://unreachable.invalid/sparql",
+                    "--out", str(out),
+                    flag, value,
+                ]
+            )
+        assert rc == 1
+        assert message in caplog.text
+        assert not out.exists()
+
+    def test_config_file_key_it_does_not_read_rejected(self, dataset, caplog):
+        cfg = dataset / "fetch.cfg"
+        cfg.write_text("endpoint=http://unreachable.invalid/sparql\nconcurrency=2\n")
+        out = dataset / "fetched.jsonl"
+        with mock.patch.object(ingest, "fetch_profile", side_effect=AssertionError("request")):
+            rc = main(
+                ["fetch-metadata", "--movies", str(dataset / "movies.dat"), "--out", str(out),
+                 "--config", str(cfg)]
+            )
+        assert rc == 1
+        assert "fetch.cfg: line 2: this command reads no key 'concurrency'" in caplog.text
 
 
 class TestHelp:

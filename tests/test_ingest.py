@@ -275,6 +275,27 @@ class TestParseRatingsColumns:
             parse_ratings(path)
         assert info.value.__context__ is None
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("40::41::7::0", r"line 40: rating out of range: 7 for \(40, 41\)$"),  # plain bytes
+            ("40::x::3::0", "line 40: non-integer field"),
+            (f"40::{INT64_MAX + 1}::3::0", "line 40: field out of 64-bit range"),
+            ("40::41::3", "line 40: expected 4 '::' fields, got 3$"),
+        ],
+    )
+    def test_a_failing_parse_opens_the_file_once(self, tmp_path, bad, message):
+        """The line walk that finds the first bad line also parses its block:
+        no second pass over the file names the error."""
+        path = tmp_path / "ratings.dat"
+        good = "".join(f"{u}::{u + 1}::3::{u}\n" for u in range(1, 40))
+        path.write_text(good + bad + "\n" + good)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 50):
+            with mock.patch("builtins.open", wraps=open) as opened:
+                with pytest.raises(ValueError, match=message):
+                    parse_ratings(path)
+        assert [c.args[0] for c in opened.call_args_list] == [path]
+
 
 @st.composite
 def digit_field(draw, values):
@@ -311,7 +332,7 @@ def columns_or_message(outcome):
 
 class TestPlainDigitPath:
     """A block of plain-digit lines takes the checked byte path; any other
-    block falls back to the ``int`` path, with the same outcome."""
+    block is walked line by line through ``int``, with the same outcome."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=plain_digit_text(), block_chars=BLOCK_CHARS)
@@ -320,7 +341,7 @@ class TestPlainDigitPath:
     ):
         text, plain = case
         ratings_file.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(ingest, "_int_table", wraps=ingest._int_table) as int_path:
+        with mock.patch.object(ingest, "_line_table", wraps=ingest._line_table) as int_path:
             assert_matches_oracle(ratings_file, block_chars)
         if plain:
             int_path.assert_not_called()
@@ -350,7 +371,7 @@ class TestPlainDigitPath:
         path.write_bytes(f"1::1193::5::978300760\n{line}\n2::661::3::978302109\n".encode())
         with mock.patch.object(ingest, "_digit_table", return_value=None):
             want = parse_outcome(path)
-        with mock.patch.object(ingest, "_int_table", wraps=ingest._int_table) as int_path:
+        with mock.patch.object(ingest, "_line_table", wraps=ingest._line_table) as int_path:
             got = parse_outcome(path)
         int_path.assert_called_once()
         assert columns_or_message(got) == columns_or_message(want)
@@ -378,7 +399,7 @@ class TestPlainDigitPath:
         path.write_text("1::1193::5::978300760\n0002::661::3::978302109\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with mock.patch.object(ingest, "_int_table", side_effect=AssertionError("int path")):
+            with mock.patch.object(ingest, "_line_table", side_effect=AssertionError("int path")):
                 got = parse_ratings(path)
         assert columns_or_message(got) == [
             (np.dtype(np.int8), [1, 2]),
@@ -403,7 +424,7 @@ def parse_both_paths(path):
     with mock.patch.object(ingest, "_digit_table", return_value=None):
         through_int = columns_or_message(parse_ratings(path))
     if ingest._digit_table(path.read_bytes()) is not None:
-        with mock.patch.object(ingest, "_int_table", side_effect=AssertionError("int path")):
+        with mock.patch.object(ingest, "_line_table", side_effect=AssertionError("int path")):
             assert columns_or_message(parse_ratings(path)) == through_int
     return through_int
 
@@ -427,17 +448,18 @@ class TestNarrowColumns:
         rows = [(u, u + 1, 1 + u % 5, u) for u in range(1, 40)] + [(300, 40000, 2, 2**31)]
         path = tmp_path / "ratings.dat"
         path.write_text("".join("::".join(map(str, row)) + "\n" for row in rows))
-        seen, parse_block = [], ingest._parse_block
+        seen, narrowest = [], ingest._narrowest
 
-        def recording(block):
-            cols = parse_block(block)
-            seen.append([c.dtype for c in cols])
-            return cols
+        def recording(col):
+            seen.append(narrowest(col))
+            return seen[-1]
 
         with mock.patch.object(ingest, "_BLOCK_CHARS", 64):
-            with mock.patch.object(ingest, "_parse_block", recording):
+            with mock.patch.object(ingest, "_narrowest", recording):
                 got = parse_ratings(path)
             assert parse_both_paths(path) == columns_or_message(got)
+        # Each block narrows its own four columns, in column order.
+        seen = [seen[i : i + 4] for i in range(0, len(seen), 4)]
         assert len(seen) > 2
         assert seen[0] == [np.dtype(np.int8)] * 4
         assert seen[-1] == [np.dtype(t) for t in (np.int16, np.int32, np.int8, np.int64)]
@@ -456,16 +478,18 @@ class TestNarrowColumns:
         arrays = (cols.user_ids, cols.item_ids, cols.values, cols.timestamps)
         assert sum(a.nbytes for a in arrays) == 9 * len(rows)
 
-    def test_parse_peak_stays_below_one_int64_table_of_the_file(self, tmp_path):
+    @pytest.mark.parametrize("line_end", ["\n", " \n"], ids=["plain", "line-walk"])
+    def test_parse_peak_stays_below_one_int64_table_of_the_file(self, tmp_path, line_end):
         """The bound: while the blocks are joined, their narrow columns and the
         joined ones are alive, 2 x 9 bytes a rating, and the 1-5 check adds 3
         bytes of masks; 24 leaves room for the blocks' array headers (under 1
         byte a rating at 16 KiB blocks). A whole-file int64 table is 32 bytes a
-        rating on its own, so building one breaks the bound."""
+        rating on its own, so building one breaks the bound. Lines with a
+        trailing space take the line walk, whose lists live one block at a time."""
         n = 40_000
         path = tmp_path / "ratings.dat"
         path.write_text(
-            "".join(f"{u % 6040 + 1}::{u % 3706 + 1}::{1 + u % 5}::{978300000 + u}\n"
+            "".join(f"{u % 6040 + 1}::{u % 3706 + 1}::{1 + u % 5}::{978300000 + u}{line_end}"
                     for u in range(n))
         )
         with mock.patch.object(ingest, "_BLOCK_CHARS", 1 << 14):
@@ -652,6 +676,28 @@ class TestFetchAll:
         outcomes = fetch_all(movies, "http://e", transport=transport, delay=0, limit=5)
         assert len(outcomes) == 5
         assert all(o.status == "not-found" for o in outcomes)
+
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"concurrency": 0}, "concurrency must be >= 1, got 0"),
+            ({"retries": -1}, "retries must be >= 0, got -1"),
+            ({"delay": -1}, "delay must be >= 0, got -1"),
+            ({"delay": -0.5}, "delay must be >= 0, got -0.5"),
+            ({"limit": -1}, "limit must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_setting_rejected_before_any_request(self, setting, message):
+        transport = mock.Mock(side_effect=AssertionError("request sent"))
+        movies = {i: (f"Movie {i}", ("Drama",)) for i in range(1, 6)}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fetch_all(movies, "http://e", transport=transport, **setting)
+        transport.assert_not_called()
+
+    def test_limit_zero_fetches_nothing(self):
+        transport = mock.Mock(side_effect=AssertionError("request sent"))
+        assert fetch_all({1: ("M", ("Drama",))}, "http://e", transport=transport, limit=0) == []
 
 
 class TestLoadOverrides:
@@ -885,6 +931,19 @@ class TestJsonLinesRecords:
     def test_string_item_id_loads(self, tmp_path, loader):
         _, record, _ = LOADERS[loader]
         load, path = self._write(tmp_path, loader, json.dumps({**record, "item_id": "m1"}))
+        assert len(load(path)) == 2
+
+    def test_repeated_item_id_rejected_with_both_lines(self, tmp_path, loader):
+        _, record, _ = LOADERS[loader]
+        load, path = self._write(tmp_path, loader, "\n" + json.dumps({**record, "title": "T"}))
+        with pytest.raises(
+            ValueError, match=f"{path.name}: line 3: duplicate item_id 1 \\(first on line 1\\)$"
+        ):
+            load(path)
+
+    def test_integer_and_string_ids_stay_distinct(self, tmp_path, loader):
+        _, record, _ = LOADERS[loader]
+        load, path = self._write(tmp_path, loader, json.dumps({**record, "item_id": "1"}))
         assert len(load(path)) == 2
 
     def test_missing_required_field_rejected_with_its_number(self, tmp_path, loader):
