@@ -55,6 +55,9 @@ class Rating:
     timestamp: int = 0
 
     def __post_init__(self) -> None:
+        for name, i in (("user", self.user_id), ("item", self.item_id)):
+            if not isinstance(i, (int, np.integer, str)) or isinstance(i, bool):
+                raise ValueError(f"{name} id must be an integer or a string, got {i!r}")
         if not isinstance(self.value, (int, np.integer)) or isinstance(self.value, bool):
             raise ValueError(f"rating value must be an integer, got {self.value!r}")
         if not RATING_MIN <= self.value <= RATING_MAX:
@@ -81,6 +84,9 @@ class RatingColumns(Sequence):
         cols = tuple(np.asarray(c).view() for c in (user_ids, item_ids, values, timestamps))
         if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
             raise ValueError("rating columns must be 1-d and of one length")
+        for name, c in zip(("user", "item"), cols):  # object columns hold checked Ratings' ids
+            if c.dtype.kind not in "iuUO":
+                raise ValueError(f"{name} ids must be integers or strings, got dtype {c.dtype}")
         values = cols[2]
         if values.dtype.kind not in "iu":
             raise ValueError(f"rating values must be integers, got dtype {values.dtype}")

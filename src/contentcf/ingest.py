@@ -404,8 +404,9 @@ def fetch_all(
 ) -> list[FetchOutcome]:
     """Fetch metadata for every movie with bounded parallelism.
 
-    Each movie is queried with its year-stripped title first and retried with
-    the raw title on an empty result. Failures are recorded, never raised.
+    Each movie is queried with its year-stripped title first and with the raw
+    title after an empty answer. Failures are recorded, never raised: a movie
+    is "failed" when no title answered and any attempt failed.
     Output is sorted by item id regardless of completion order. A setting
     out of range raises ValueError before any request.
     """
@@ -417,34 +418,25 @@ def fetch_all(
 
     def one(entry: tuple[ItemId, tuple[str, tuple[str, ...]]]) -> FetchOutcome:
         item_id, (title, _genres) = entry
-        result: SparqlMovieResult | None = None
-        failed = False
+        failed = False  # over every title: an empty answer does not clear a failure
         for candidate in _title_candidates(title):
-            failed = False
             for attempt in range(retries + 1):
                 if delay:
                     time.sleep(delay)
                 try:
                     result = fetch_profile(candidate, endpoint, transport)
-                    break
                 except (FetchError, ValueError) as exc:
                     failed = True
                     logger.warning(
                         "movie %s (%r): attempt %d failed: %s",
                         item_id, candidate, attempt + 1, exc,
                     )
-            if result is not None:
-                break
-        if result is None:
-            return FetchOutcome(item_id, title, "failed" if failed else "not-found")
-        return FetchOutcome(
-            item_id,
-            title,
-            "ok",
-            directors=result.director_names,
-            actors=result.star_names,
-            multi_title=result.distinct_titles > 1,
-        )
+                    continue
+                if result is None:
+                    break
+                return FetchOutcome(item_id, title, "ok", result.director_names,
+                                    result.star_names, result.distinct_titles > 1)
+        return FetchOutcome(item_id, title, "failed" if failed else "not-found")
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         outcomes = list(pool.map(one, todo))
@@ -531,17 +523,24 @@ def load_overrides(
         if known_items is not None and item_id not in known_items:
             logger.warning("%s: line %d: unknown item %r, record skipped", path, lineno, item_id)
             continue
-        profiles.append(
-            MovieProfile(
-                item_id=item_id,
-                title=record.get("title", ""),
-                genres=frozenset(record.get("genres", [])),
-                directors=frozenset(record.get("directors", [])),
-                actors=frozenset(record.get("actors", [])[:actor_cap]),
-                source=ProfileSource.OVERRIDE,
-            )
-        )
+        profiles.append(_profile(path, lineno, record, ProfileSource.OVERRIDE, actor_cap))
     return profiles
+
+
+def _profile(path, lineno: int, record: dict, source, actor_cap: int | None = None) -> MovieProfile:
+    """One ``_read_records`` record's profile from ``source`` (a ProfileSource or its value),
+    keeping the first ``actor_cap`` actors; a rejected record names its file and line."""
+    try:
+        return MovieProfile(
+            item_id=record["item_id"],
+            title=record.get("title", ""),
+            genres=frozenset(record.get("genres", [])),
+            directors=frozenset(record.get("directors", [])),
+            actors=frozenset(record.get("actors", [])[:actor_cap]),
+            source=ProfileSource(source),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: bad profile record: {exc}") from None
 
 
 def assemble_profiles(
@@ -634,20 +633,9 @@ def load_profiles(path) -> ProfileStore:
     profiles: dict[ItemId, MovieProfile] = {}
     log: dict[ItemId, FetchLogEntry] = {}
     for lineno, r in _read_records(path, required=("item_id", "genres")):
-        try:
-            source = ProfileSource(r.get("source", "dataset"))
-            profile = MovieProfile(
-                item_id=r["item_id"],
-                title=r.get("title", ""),
-                genres=frozenset(r["genres"]),
-                directors=frozenset(r.get("directors", [])),
-                actors=frozenset(r.get("actors", [])),
-                source=source,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: bad profile record: {exc}") from None
+        profile = _profile(path, lineno, r, r.get("source", "dataset"))
         profiles[profile.item_id] = profile
-        log[profile.item_id] = FetchLogEntry(_STATUS_OF[source])
+        log[profile.item_id] = FetchLogEntry(_STATUS_OF[profile.source])
     if not profiles:
         raise ValueError(f"{path}: no profiles found")
     return ProfileStore(profiles=profiles, fetch_log=log)

@@ -7,12 +7,12 @@ weight of a catalog movie against the target is a smoothed cosine: matching
 pairs get (1 + shared features) / (norm product), zero-overlap pairs get a
 small positive floor so they never dominate nor vanish.
 
-``build_vectors`` and ``cosine`` spell that construction out for one pair.
-The weights themselves come from one element-wise kernel over integer
-counts, ``_smoothed_weight``: shared features and the two squared norms.
-``WeightCalculator`` gets the counts for a whole candidate list at once from
-posting lists over int feature ids, one bincount per target, so a weight
-row costs a few array passes rather than one Python call per candidate.
+``build_vectors`` spells that construction out for one pair; ``cosine`` and
+``item_weight`` read its integer counts off those vectors: shared features and
+the two squared norms. ``item_weight`` is ``_smoothed_weight``, the one
+element-wise weight kernel, on one pair's counts. ``WeightCalculator`` gets the
+counts for a whole candidate list at once from posting lists over int feature
+ids, one bincount per target, so a weight row costs a few array passes.
 """
 
 from __future__ import annotations
@@ -88,37 +88,23 @@ def build_vectors(
     g_m, d_m, a_m = _feature_sets(profile_m)
     g_t, d_t, a_t = _feature_sets(profile_t)
     a_common = a_m & a_t
+    blocks = (("genre", g_m, g_t), ("director", d_m, d_t), ("actor", a_common, a_common))
+    features = [(f"{p}:{x}", int(x in m), int(x in t)) for p, m, t in blocks for x in sorted(m | t)]
+    universe, comp_m, comp_t = tuple(zip(*features)) or ((), (), ())
+    return FeatureVector(universe, comp_m), FeatureVector(universe, comp_t)
 
-    universe = (
-        [f"genre:{g}" for g in sorted(g_m | g_t)]
-        + [f"director:{d}" for d in sorted(d_m | d_t)]
-        + [f"actor:{a}" for a in sorted(a_common)]
-    )
-    m_features = (
-        {f"genre:{g}" for g in g_m}
-        | {f"director:{d}" for d in d_m}
-        | {f"actor:{a}" for a in a_common}
-    )
-    t_features = (
-        {f"genre:{g}" for g in g_t}
-        | {f"director:{d}" for d in d_t}
-        | {f"actor:{a}" for a in a_common}
-    )
-    comp_m = tuple(1 if f in m_features else 0 for f in universe)
-    comp_t = tuple(1 if f in t_features else 0 for f in universe)
-    return (
-        FeatureVector(tuple(universe), comp_m),
-        FeatureVector(tuple(universe), comp_t),
-    )
+
+def _pair_counts(v_m: FeatureVector, v_t: FeatureVector) -> tuple[int, int, int]:
+    """(shared features, |M|², |T|²) of two aligned 0/1 vectors."""
+    if v_m.universe != v_t.universe:
+        raise ValueError("vectors were built over different feature universes")
+    shared = sum(a * b for a, b in zip(v_m.components, v_t.components))
+    return shared, sum(v_m.components), sum(v_t.components)
 
 
 def cosine(v_m: FeatureVector, v_t: FeatureVector) -> float:
     """Cosine similarity of two aligned 0/1 vectors, in [0, 1]."""
-    if v_m.universe != v_t.universe:
-        raise ValueError("vectors were built over different feature universes")
-    dot = sum(a * b for a, b in zip(v_m.components, v_t.components))
-    nm = sum(v_m.components)
-    nt = sum(v_t.components)
+    dot, nm, nt = _pair_counts(v_m, v_t)
     if nm == 0 or nt == 0:
         raise ValueError("cannot normalize an all-zero feature vector")
     # sqrt of the integer product is exact for 0/1 vectors, so identical
@@ -143,12 +129,7 @@ def item_weight(
     if max_feature_count < 1:
         raise ValueError("max_feature_count must be >= 1")
     check_choice("k0_branch", k0_branch, _K0_BRANCHES)
-    g_m, d_m, a_m = _feature_sets(profile_m)
-    g_t, d_t, a_t = _feature_sets(profile_t)
-    a_common = len(a_m & a_t)
-    shared = len(g_m & g_t) + len(d_m & d_t) + a_common
-    nm_sq, nt_sq = len(g_m) + len(d_m) + a_common, len(g_t) + len(d_t) + a_common
-    counts = np.array([[shared], [nm_sq], [nt_sq]])
+    counts = np.array(_pair_counts(*build_vectors(profile_m, profile_t)))[:, None]
     return float(_smoothed_weight(*counts, max_feature_count, k0_branch)[0])
 
 

@@ -38,6 +38,23 @@ class TestRating:
         with pytest.raises(ValueError):
             Rating(1, 2, bad)
 
+    @pytest.mark.parametrize("bad", [True, np.bool_(False)])
+    def test_bool_ids_rejected(self, bad):
+        # Else Rating(True, ...) and Rating(1, ...) would build one user.
+        for name, ids in (("user", (bad, 10)), ("item", (1, bad))):
+            with pytest.raises(ValueError, match=f"{name} id must be an integer or a string"):
+                Rating(*ids, 4)
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), None, (1,), b"1"])
+    def test_ids_of_other_types_rejected(self, bad):
+        for name, ids in (("user", (bad, 10)), ("item", (1, bad))):
+            with pytest.raises(ValueError, match=f"{name} id must be an integer or a string"):
+                Rating(*ids, 4)
+
+    def test_integer_and_string_ids_accepted(self):
+        for uid in (1, np.int16(2), np.uint64(3), "u", np.str_("v")):
+            assert Rating(uid, uid, 3).user_id == uid
+
 
 class TestBuildMatrix:
     def test_user_mean(self):
@@ -249,6 +266,14 @@ class TestRatingColumns:
             RatingColumns([1], [10], [3.0], [0])
         with pytest.raises(ValueError, match="one length"):
             RatingColumns([1, 2], [10], [3, 4], [0, 0])
+
+    @pytest.mark.parametrize("name", ["user", "item"])
+    @pytest.mark.parametrize("bad", [np.array([1.5, 2.0]), np.array([True, False])])
+    def test_id_columns_other_than_integers_or_strings_rejected(self, name, bad):
+        ids = {"user": [1, 2], "item": [10, 20], name: bad}
+        with pytest.raises(ValueError, match=f"{name} ids must be integers or strings, got dtype"):
+            RatingColumns(ids["user"], ids["item"], [3, 4], [0, 0])
+        RatingColumns(np.array(["a", "b"]), np.array([10, 20], np.uint32), [3, 4], [0, 0])
 
     def test_from_ratings_keeps_ids_as_objects(self):
         rs = as_ratings([("b", 2, 3), ("a", 10**30, 5)])

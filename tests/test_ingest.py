@@ -668,6 +668,40 @@ class TestFetchAll:
         outcomes = fetch_all(movies, "http://e", transport=transport, delay=0, retries=1)
         assert [o.status for o in outcomes] == ["failed", "failed"]
 
+    def test_failed_title_then_empty_answer_is_failed(self):
+        # Every attempt at the stripped title fails; the raw title's empty
+        # answer does not make the movie unknown to the endpoint.
+        def transport(url, fields, headers):
+            if 'IN ("Weird Movie")' in fields["query"]:
+                raise FetchError("down")
+            return 200, sparql_xml([])
+
+        movies = {7: ("Weird Movie (1999)", ("Drama",))}
+        (outcome,) = fetch_all(movies, "http://e", transport=transport, delay=0)
+        assert outcome.status == "failed"
+
+    @pytest.mark.parametrize(
+        "fails, requests",
+        [
+            (lambda calls, query: calls == 1, 2),
+            (lambda calls, query: 'IN ("Weird Movie")' in query, 4),  # 3 attempts, then raw
+        ],
+        ids=["first-attempt", "every-stripped-title-attempt"],
+    )
+    def test_answer_after_failures_is_ok(self, fails, requests):
+        calls = []
+
+        def transport(url, fields, headers):
+            calls.append(fields["query"])
+            if fails(len(calls), fields["query"]):
+                raise FetchError("down")
+            return 200, sparql_xml([("Weird Movie", "D", "A")])
+
+        movies = {7: ("Weird Movie (1999)", ("Drama",))}
+        (outcome,) = fetch_all(movies, "http://e", transport=transport, delay=0)
+        assert (outcome.status, outcome.directors, outcome.actors) == ("ok", {"D"}, {"A"})
+        assert len(calls) == requests
+
     def test_limit(self):
         def transport(url, fields, headers):
             return 200, sparql_xml([])
@@ -730,6 +764,15 @@ class TestLoadOverrides:
         path = tmp_path / "overrides.jsonl"
         path.write_text('{"item_id": 1}\nnot json\n')
         with pytest.raises(ValueError, match="line 2"):
+            load_overrides(path)
+
+    def test_rejected_profile_named_with_its_file_and_line(self, tmp_path):
+        path = tmp_path / "overrides.jsonl"
+        record = {"item_id": 1, "genres": [f"G{i}" for i in range(20)]}
+        path.write_text('{"item_id": 2}\n' + json.dumps(record) + "\n")
+        with pytest.raises(
+            ValueError, match=f"{path.name}: line 2: bad profile record: movie 1 has 20 genres"
+        ):
             load_overrides(path)
 
 
