@@ -17,13 +17,11 @@ the gather, built once. ``_sweep`` computes deviations and weights for the
 kept entries alone. Every scan lists each rater's entries in ascending item
 order, so each rater's sums have the same bits. A user's scan state (its
 widened row, read-only gather and unweighted scores, and the row entries it
-scanned) is one ``_Scan`` record, memoised by ``_scan`` for the last (matrix,
-user) asked for, which keeps that matrix alive until the next or until
-``clear_scans``; a caller that drops a matrix clears the memo with it, so the
-memo never outlives it. The matrix stores indices narrow (see ``data``); a
-user's row and an item's column come widened to intp, and an index array
-joined from the matrix's own (the gather's raters, a rows scan's items) is
-widened once, before it indexes anything.
+scanned) is one ``_Scan`` record; ``_scan`` keeps each live matrix's last one,
+weakly keyed, so a freed matrix takes its record with it. The matrix stores
+indices narrow (see ``data``); a user's row and an item's column come widened
+to intp, and an index array joined from the matrix's own (the gather's raters,
+a rows scan's items) is widened once, before it indexes anything.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -38,8 +36,8 @@ adds in sequence, so column n has the bits of the left-to-right loop
 
 from __future__ import annotations
 
-import functools
 import operator
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, get_args
@@ -174,8 +172,9 @@ def _correlate(
 class _Scan:
     """One user's scan state on one matrix. Its gather, every (item of the user, rater of that
     item) entry in the user's item order, then rater order, is three read-only arrays, None
-    until built. The record holds no reference to its matrix; the memo's key does."""
+    until built. The record holds no reference to its matrix, so the weak memo frees both."""
 
+    uix: int  # the user's index
     row: tuple[np.ndarray, np.ndarray]  # the user's item indices and values, widened once
     offset: np.ndarray | None = None  # per item: its column's start minus its first entry here
     slot: np.ndarray | None = None  # each entry's item slot: uint16, or intp past 65,536 items
@@ -184,14 +183,15 @@ class _Scan:
     plain: tuple[np.ndarray, ...] | None = None  # the unweighted scores
 
 
-@functools.lru_cache(maxsize=1)
+_scans: weakref.WeakKeyDictionary[RatingMatrix, _Scan] = weakref.WeakKeyDictionary()
+
+
 def _scan(matrix: RatingMatrix, uix: int) -> _Scan:
-    return _Scan(matrix._user_row(uix))
-
-
-def clear_scans() -> None:
-    """Forget the memoised scan record, and with it the last matrix it keeps alive."""
-    _scan.cache_clear()
+    """User ``uix``'s record on ``matrix``: the matrix's last one if it is this user's."""
+    scan = _scans.get(matrix)
+    if scan is None or scan.uix != uix:
+        scan = _scans[matrix] = _Scan(uix, matrix._user_row(uix))
+    return scan
 
 
 def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:

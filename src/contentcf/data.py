@@ -45,6 +45,12 @@ def check_choice(name: str, value: object, allowed: tuple) -> None:
         raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
 
 
+def _check_id(name: str, i: object) -> None:
+    """Reject an id that is neither a Python or numpy integer (bool is not one) nor a str."""
+    if not isinstance(i, (int, np.integer, str)) or isinstance(i, bool):
+        raise ValueError(f"{name} id must be an integer or a string, got {i!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Rating:
     """A single user-item score on the 1-5 scale; timestamp is carried, unused."""
@@ -55,9 +61,8 @@ class Rating:
     timestamp: int = 0
 
     def __post_init__(self) -> None:
-        for name, i in (("user", self.user_id), ("item", self.item_id)):
-            if not isinstance(i, (int, np.integer, str)) or isinstance(i, bool):
-                raise ValueError(f"{name} id must be an integer or a string, got {i!r}")
+        _check_id("user", self.user_id)
+        _check_id("item", self.item_id)
         if not isinstance(self.value, (int, np.integer)) or isinstance(self.value, bool):
             raise ValueError(f"rating value must be an integer, got {self.value!r}")
         if not RATING_MIN <= self.value <= RATING_MAX:
@@ -84,9 +89,11 @@ class RatingColumns(Sequence):
         cols = tuple(np.asarray(c).view() for c in (user_ids, item_ids, values, timestamps))
         if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
             raise ValueError("rating columns must be 1-d and of one length")
-        for name, c in zip(("user", "item"), cols):  # object columns hold checked Ratings' ids
+        for name, c in zip(("user", "item"), cols):
             if c.dtype.kind not in "iuUO":
                 raise ValueError(f"{name} ids must be integers or strings, got dtype {c.dtype}")
+            for i in c.tolist() if c.dtype.kind == "O" else ():  # each id of an object column
+                _check_id(name, i)
         values = cols[2]
         if values.dtype.kind not in "iu":
             raise ValueError(f"rating values must be integers, got dtype {values.dtype}")

@@ -7,11 +7,12 @@ as total absolute error over total predictions.
 
 The split builds the run's one ``RatingMatrix`` and labels each entry with a
 fold. Held-out rows travel as entry indices of that matrix, in (user, item)
-order, in one task list (fold, chunk) per run, served in-process or by one
-worker pool. Each process builds a fold's training matrix on its first task of
-that fold: the run's matrix with the fold masked out, in its index space, where
-an id left without a training entry is absent by its zero count. Results are
-reduced in task order, so reports are identical for any worker count.
+order, in one task list (fold, chunk) per run, 4 even chunks per fold and
+worker, served in-process or by one worker pool. Each process builds a fold's
+training matrix on its first task of that fold: the run's matrix with the fold
+masked out, in its index space, where an id left without a training entry is
+absent by its zero count. Results are reduced in task order, so reports are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
-from .cf import EMPTY_RANKING, Denominator, NeighborSet, clear_scans, predict, rank_candidates
+from .cf import EMPTY_RANKING, Denominator, NeighborSet, predict, rank_candidates
 from .data import ItemId, Rating, RatingMatrix, UserId, build_matrix, check_choice
 from .weighting import K0Branch, WeightCalculator
 
@@ -220,14 +221,13 @@ def _eval_chunk(task):
 def _fold_evaluator(folds: FoldAssignment, calculator, config: RunConfig):
     """The evaluator of tasks (fold, held-out entry indices of the run's matrix).
     It builds a fold's training matrix on its first task of that fold and keeps the latest;
-    the one it drops is freed before the next is built."""
+    the one it drops is freed before the next is built, as cf's scan memo holds it weakly."""
     latest: dict[int, RatingMatrix] = {}
 
     def evaluate(task):
         f, held = task
         if f not in latest:
             latest.clear()
-            clear_scans()  # cf's scan memo holds the dropped matrix too
             # A fold holding every rating leaves an empty matrix: every row is skipped.
             latest[f] = folds.matrix._masked(folds.fold != f)
         return _eval_ratings(latest[f], calculator, config, folds.matrix._entries(held))
@@ -275,16 +275,6 @@ def _eval_ratings(matrix: RatingMatrix, calculator: WeightCalculator | None, con
     return errors, fallbacks, predicted
 
 
-def _chunks(held: np.ndarray, uptr: np.ndarray, n_chunks: int) -> list[np.ndarray]:
-    """``held`` in consecutive chunks of about len/n_chunks, each cut at a change of user."""
-    target = max(1, held.size // n_chunks)
-    cuts = [0]
-    for start in (np.flatnonzero(np.diff(np.searchsorted(uptr, held, "right"))) + 1).tolist():
-        if start - cuts[-1] >= target:
-            cuts.append(start)
-    return np.split(held, cuts[1:]) if held.size else []
-
-
 def run_experiment(
     ratings: Iterable[Rating],
     config: RunConfig,
@@ -328,7 +318,7 @@ def run_experiment(
             rng = np.random.default_rng([_SAMPLE_STREAM, _entropy_int(config.seed), f])
             picked = rng.choice(held.size, size=config.sample_test, replace=False)
             held = held[np.sort(picked)]
-        tasks += [(f, chunk) for chunk in _chunks(held, folds.matrix._uptr, 4 * n_workers)]
+        tasks += [(f, chunk) for chunk in np.array_split(held, 4 * n_workers) if chunk.size]
 
     evaluate = _fold_evaluator(folds, calculator, config)
     n_workers = min(n_workers, len(tasks))  # a fork pool forks every worker at the first submit

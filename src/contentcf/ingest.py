@@ -407,8 +407,8 @@ def fetch_all(
     Each movie is queried with its year-stripped title first and with the raw
     title after an empty answer. Failures are recorded, never raised: a movie
     is "failed" when no title answered and any attempt failed.
-    Output is sorted by item id regardless of completion order. A setting
-    out of range raises ValueError before any request.
+    Output is in query order, by item id, regardless of completion order. A
+    setting out of range raises ValueError before any request.
     """
     for name, value, least in (("concurrency", concurrency, 1), ("retries", retries, 0),
                                ("delay", delay, 0), ("limit", 0 if limit is None else limit, 0)):
@@ -439,8 +439,7 @@ def fetch_all(
         return FetchOutcome(item_id, title, "failed" if failed else "not-found")
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        outcomes = list(pool.map(one, todo))
-    return sorted(outcomes, key=lambda o: str(o.item_id))
+        return list(pool.map(one, todo))
 
 
 def _title_candidates(title: str) -> list[str]:
@@ -593,8 +592,8 @@ def assemble_profiles(
 
 
 def _write_records(path, rows: Iterable) -> None:
-    """Write each dataclass row as one JSON object per line, in item id order;
-    the twin of ``_read_records``. Keys are sorted, label sets become sorted
+    """Write each dataclass row as one JSON object per line, ordered by ``str(item_id)``
+    (10 before 9) whatever the order given; the twin of ``_read_records``. Keys are sorted, label sets become sorted
     arrays and a profile's source its value, so reruns are byte-identical."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in sorted(rows, key=lambda r: str(r.item_id)):
@@ -625,7 +624,7 @@ def load_fetched(path) -> dict[ItemId, FetchOutcome]:
 
 
 def save_profiles(store: ProfileStore, path) -> None:
-    """Write one JSON record per movie, sorted by item id; reruns are byte-identical."""
+    """Write one JSON record per movie, ordered by ``str(item_id)``; reruns are byte-identical."""
     _write_records(path, store.profiles.values())
 
 

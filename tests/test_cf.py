@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+import weakref
 from functools import partial
 from unittest import mock
 
@@ -28,6 +29,13 @@ from contentcf.data import RatingColumns, RatingMatrix, build_matrix, index_dtyp
 from contentcf.weighting import WeightVector
 from conftest import as_ratings, rating_triples
 from oracle import by_user, naive_pearson, naive_rank
+
+
+@contextlib.contextmanager
+def records_built():
+    """A mock whose ``call_count`` is the number of scan records built inside the block."""
+    with mock.patch.object(cf, "_Scan", wraps=cf._Scan) as built:
+        yield built
 
 
 def uniform_weights(matrix, target, value=1.0):
@@ -288,7 +296,7 @@ class TestGatherMemo:
 
     @staticmethod
     def _cold(fn):
-        cf._scan.cache_clear()
+        cf._scans.clear()
         return fn()
 
     def test_interleaved_calls_match_cold_calls(self):
@@ -311,14 +319,15 @@ class TestGatherMemo:
         calls = self._calls()
         expected = {key: self._cold(fn) for key, fn in calls}
         block = sorted((c for c in calls if c[0][:2] == (0, 1)), key=lambda c: len(c[0]) == 4)
-        cf._scan.cache_clear()
+        cf._scans.clear()
         sides = []
-        for key, fn in block:
-            with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as rows:
-                assert fn() == expected[key], key
-            if key[3] != "pc":  # the unweighted scores never scan rows
-                sides.append("rows" if rows.call_count else "gather")
-        assert cf._scan.cache_info().misses == 1
+        with records_built() as built:
+            for key, fn in block:
+                with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as rows:
+                    assert fn() == expected[key], key
+                if key[3] != "pc":  # the unweighted scores never scan rows
+                    sides.append("rows" if rows.call_count else "gather")
+        assert built.call_count == 1
         n_rows = sides.count("rows")
         assert 0 < n_rows < len(sides)
         assert sides == ["rows"] * n_rows + ["gather"] * (len(sides) - n_rows)
@@ -458,29 +467,47 @@ class TestWeightedRankingCases:
 
 class TestGatherReadOnly:
     def test_read_only_and_memoised_per_matrix_and_user(self):
-        cf._scan.cache_clear()
+        cf._scans.clear()
         m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         twin = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
-        g = cf._gather(m, 0)
-        assert g.slot.dtype == np.uint16 and g.users.dtype == np.int64
-        for arr in (g.offset, g.slot, g.users):
-            assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            g.users[0] = 1
-        with pytest.raises(ValueError):
-            g.slot[0] = 1
-        wv = WeightVector(0, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
-        rank_candidates(1, 0, m, weights=wv)
-        rank_candidates(1, 0, m)
-        pearson(1, 3, m)
-        weighted_pearson(1, 3, 0, m, wv)
-        assert cf._scan(m, 0) is g and cf._gather(m, 0) is g
-        assert all(not arr.flags.writeable for arr in g.plain)
-        assert cf._scan.cache_info().misses == 1
-        assert cf._gather(twin, 0) is not g
-        assert cf._gather(m, 1) is not g
-        assert cf._scan.cache_info().misses == 3
-        assert cf._scan.cache_info().currsize == 1
+        with records_built() as built:
+            g = cf._gather(m, 0)
+            assert g.slot.dtype == np.uint16 and g.users.dtype == np.int64
+            for arr in (g.offset, g.slot, g.users):
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                g.users[0] = 1
+            with pytest.raises(ValueError):
+                g.slot[0] = 1
+            wv = WeightVector(0, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
+            rank_candidates(1, 0, m, weights=wv)
+            rank_candidates(1, 0, m)
+            pearson(1, 3, m)
+            weighted_pearson(1, 3, 0, m, wv)
+            assert cf._scan(m, 0) is g and cf._gather(m, 0) is g
+            assert all(not arr.flags.writeable for arr in g.plain)
+            assert built.call_count == 1
+            assert cf._gather(twin, 0) is not g
+            assert cf._gather(m, 1) is not g
+            assert built.call_count == 3
+        # Each live matrix holds one record, its last.
+        assert len(cf._scans) == 2
+        assert (cf._scans[m].uix, cf._scans[twin].uix) == (1, 0)
+
+    @pytest.mark.parametrize("method", ["pc", "wpc", "pair"])
+    def test_a_freed_matrix_takes_its_record_with_it(self, method):
+        m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
+        wv = WeightVector(5, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
+        calls = {
+            "pc": partial(rank_candidates, 1, 5, m),
+            "wpc": partial(rank_candidates, 1, 5, m, weights=wv),
+            "pair": partial(weighted_pearson, 1, 3, 5, m, wv),
+        }
+        calls[method]()
+        assert cf._scans[m].uix == m._user_index(1)
+        freed = weakref.ref(m)
+        del m, calls
+        assert freed() is None
 
 
 class TestScanRule:
@@ -493,7 +520,7 @@ class TestScanRule:
         m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         wv = WeightVector(5, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
         expected = naive_rank(by_user(TestWeightedRankingCases.TRIPLES), 1, 5, wv.weights)
-        cf._scan.cache_clear()
+        cf._scans.clear()
         steps = [
             (partial(rank_candidates, 1, 5, m, weights=wv), 6, True),
             (partial(weighted_pearson, 1, 2, 5, m, wv), 8, True),
@@ -502,30 +529,32 @@ class TestScanRule:
             (partial(pearson, 1, 3, m), 14, False),
         ]
         gathers = []
-        for fn, rows, on_rows in steps:
-            with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as scanned:
-                got = fn()
-            if isinstance(got, cf.Ranking):
-                assert _bits(_as_rows(got)) == _bits(expected)
-            scan = cf._scan(m, m._user_index(1))
-            assert (scanned.call_count, scan.rows) == (int(on_rows), rows)
-            assert (scan.users is None) == on_rows
-            gathers.append(scan.users)
+        with records_built() as built:
+            for fn, rows, on_rows in steps:
+                with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as scanned:
+                    got = fn()
+                if isinstance(got, cf.Ranking):
+                    assert _bits(_as_rows(got)) == _bits(expected)
+                scan = cf._scan(m, m._user_index(1))
+                assert (scanned.call_count, scan.rows) == (int(on_rows), rows)
+                assert (scan.users is None) == on_rows
+                gathers.append(scan.users)
         assert all(g is gathers[2] for g in gathers[2:])  # one gather, built once
-        assert cf._scan.cache_info().misses == 1
+        assert built.call_count == 1
 
     def test_a_pair_call_adds_to_the_same_record(self):
         # User 4's row holds 3 entries: with target 5's 6 they reach the 9 columns.
         m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         wv = WeightVector(5, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
-        cf._scan.cache_clear()
-        pearson(1, 4, m)
-        assert cf._scan(m, m._user_index(1)).rows == 3
-        with mock.patch.object(cf, "_rater_rows", side_effect=AssertionError("rows scanned")):
-            ranked = rank_candidates(1, 5, m, weights=wv)
-        assert [s.user_id for s in ranked] == [3]
-        assert cf._scan(m, m._user_index(1)).rows == 9
-        assert cf._scan.cache_info().misses == 1
+        cf._scans.clear()
+        with records_built() as built:
+            pearson(1, 4, m)
+            assert cf._scan(m, m._user_index(1)).rows == 3
+            with mock.patch.object(cf, "_rater_rows", side_effect=AssertionError("rows scanned")):
+                ranked = rank_candidates(1, 5, m, weights=wv)
+            assert [s.user_id for s in ranked] == [3]
+            assert cf._scan(m, m._user_index(1)).rows == 9
+        assert built.call_count == 1
 
 
 # -- the cold scans: rater rows, cold gather, warm gather -----------------------
@@ -585,7 +614,7 @@ def _entries_on(scan):
 
 
 def _ranked_on(scan, m, a, target, wv, min_sim=None):
-    cf._scan.cache_clear()
+    cf._scans.clear()
     if scan == "warm gather":
         cf._gather(m, m._user_index(a))
     with mock.patch.object(cf, "_candidate_entries", _entries_on(scan)):
@@ -609,7 +638,7 @@ def _check_every_scan(triples, a, target, weights, min_sim=None):
     if cand.size == 0:  # rank_candidates returns before any scan
         return expected
     old = _three_array_scores(m, aix, cand, wv)
-    cf._scan.cache_clear()
+    cf._scans.clear()
     rater_rows = cf._rater_rows(m, aix, cand)
     cf._gather(m, aix)
     for entries in (rater_rows, cf._candidate_entries(m, aix, cand)):
@@ -622,19 +651,20 @@ def _check_every_scan(triples, a, target, weights, min_sim=None):
     rows = int((m._uptr[cand + 1] - m._uptr[cand]).sum())
     # The same ranking repeated from cold scans rows while n * rows < columns,
     # then builds one gather and reads it.
-    cf._scan.cache_clear()
+    cf._scans.clear()
     n_rows = (columns - 1) // rows
     gathers = []
-    with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as scanned:
-        for n in range(1, n_rows + 3):
-            ranked = rank_candidates(a, target, m, weights=wv, min_sim=min_sim)
-            assert _bits(_as_rows(ranked)) == expected
-            assert scanned.call_count == min(n, n_rows)
-            gathers.append(cf._scan(m, aix).users)
-    assert all(g is None for g in gathers[:n_rows])
-    assert gathers[-2] is not None and gathers[-1] is gathers[-2]
-    assert cf._scan(m, aix).rows == (n_rows + 1) * rows
-    assert cf._scan.cache_info().misses == 1
+    with records_built() as built:
+        with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as scanned:
+            for n in range(1, n_rows + 3):
+                ranked = rank_candidates(a, target, m, weights=wv, min_sim=min_sim)
+                assert _bits(_as_rows(ranked)) == expected
+                assert scanned.call_count == min(n, n_rows)
+                gathers.append(cf._scan(m, aix).users)
+        assert all(g is None for g in gathers[:n_rows])
+        assert gathers[-2] is not None and gathers[-1] is gathers[-2]
+        assert cf._scan(m, aix).rows == (n_rows + 1) * rows
+    assert built.call_count == 1
     return expected
 
 
@@ -699,7 +729,7 @@ class TestColdScanCases:
         values = np.concatenate([1 + items[:n_items] % 5, [5, 1, 4, 2, 2, 3]])
         m = RatingMatrix(RatingColumns(users, items, values, np.zeros(users.size, dtype=np.int64)))
         assert m._uitems.dtype == index_dtype(n_items) and m._iusers.dtype == np.uint16
-        cf._scan.cache_clear()
+        cf._scans.clear()
         g = cf._gather(m, 0)
         assert g.slot.dtype == (np.uint16 if n_items <= 1 << 16 else np.intp)
         assert g.slot[-1] == n_items - 1
@@ -717,7 +747,7 @@ class TestColdScanCases:
         triples += [(u, 8, 1 + u % 5) for u in range(2, last)]
         m = build_matrix(as_ratings(triples))
         assert m._iusers.dtype == index_dtype(n_users) and m._uitems.dtype == np.uint16
-        cf._scan.cache_clear()
+        cf._scans.clear()
         g = cf._gather(m, 0)
         assert g.users.dtype == np.intp and g.users[-1] == last
         # The accessors widen, so no scan's ``+ 1`` can wrap.
@@ -729,10 +759,10 @@ class TestColdScanCases:
         ranked = _check_every_scan(triples, 0, 9, self.WEIGHTS)
         assert sorted(r[0] for r in ranked) == [1, last]
         table = by_user(triples)
-        cf._scan.cache_clear()
+        cf._scans.clear()
         assert _bits(_as_rows(rank_candidates(0, 9, m))) == _bits(naive_rank(table, 0, 9))
         for a, u in ((0, last), (last, 0), (last, 1)):
-            cf._scan.cache_clear()
+            cf._scans.clear()
             (raw, overlap), (want, want_overlap) = pearson(a, u, m), naive_pearson(table, a, u)
             assert (raw.hex(), overlap) == (want.hex(), want_overlap)
 
@@ -747,7 +777,7 @@ def test_pair_correlations_on_either_scan_match_the_three_array_gather(triples, 
     wv = WeightVector(m.items[0], {i: data.draw(st.floats(0.01, 3.0)) for i in m.items}, 10)
     aix, uix = m._user_index(a), m._user_index(u)
     for warm in (False, True):
-        cf._scan.cache_clear()
+        cf._scans.clear()
         guard = contextlib.nullcontext()
         if warm:
             cf._gather(m, aix)

@@ -275,6 +275,22 @@ class TestRatingColumns:
             RatingColumns(ids["user"], ids["item"], [3, 4], [0, 0])
         RatingColumns(np.array(["a", "b"]), np.array([10, 20], np.uint32), [3, 4], [0, 0])
 
+    @pytest.mark.parametrize("name", ["user", "item"])
+    def test_float_ids_in_an_object_column_rejected(self, name):
+        # Else users 1.5 and 2.0 would be built.
+        ids = {"user": [1, 2, 1], "item": [10, 20, 30], name: np.array([1.5, 2.0, 1.5], object)}
+        with pytest.raises(ValueError, match=f"^{name} id must be an integer or a string, got 1.5$"):
+            RatingColumns(ids["user"], ids["item"], [3, 4, 5], [0, 0, 0])
+
+    @pytest.mark.parametrize("name", ["user", "item"])
+    def test_bool_ids_in_an_object_column_rejected(self, name):
+        # Else True would be an id beside 2 and 3, as Rating forbids.
+        ids = {"user": [1, 2, 3], "item": [10, 20, 30], name: np.array([True, 2, 3], object)}
+        with pytest.raises(ValueError, match=f"^{name} id must be an integer or a string, got True$"):
+            RatingColumns(ids["user"], ids["item"], [3, 4, 5], [0, 0, 0])
+        mixed = np.array([1, "a", np.int64(3)], object)  # every id Rating accepts
+        assert len(RatingColumns(mixed, mixed, [3, 4, 5], [0, 0, 0])) == 3
+
     def test_from_ratings_keeps_ids_as_objects(self):
         rs = as_ratings([("b", 2, 3), ("a", 10**30, 5)])
         cols = RatingColumns.from_ratings(iter(rs))

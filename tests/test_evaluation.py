@@ -84,14 +84,6 @@ class TestSplitFolds:
             folds.fold_of[pairs[0]] = 0
 
 
-def test_chunks_cut_only_where_the_user_changes():
-    # Users own the entries [0, 3), [3, 4), [4, 8), none, and [8, 10).
-    uptr = np.array([0, 3, 4, 8, 8, 10])
-    chunks = evaluation._chunks(np.array([0, 2, 3, 5, 6, 7, 9]), uptr, 3)
-    assert [c.tolist() for c in chunks] == [[0, 2], [3, 5, 6, 7], [9]]
-    assert evaluation._chunks(np.array([], dtype=np.int64), uptr, 3) == []
-
-
 # sha256 of the sorted fold_of items of synthetic_dataset(n_users=60) at seed
 # 42, recorded when the assignment was a dict filled rating by rating.
 PINNED_ASSIGNMENTS = {
@@ -367,15 +359,15 @@ class TestOnePoolPerRun:
 
     @pytest.fixture
     def task_counts(self, monkeypatch):
+        """Each fold's number of tasks, fold by fold and run by run."""
         counts = []
-        original = evaluation._chunks
+        original = evaluation._reports
 
-        def counting(*args, **kwargs):
-            chunks = original(*args, **kwargs)
-            counts.append(len(chunks))
-            return chunks
+        def counting(config, n_folds, tasks, results):
+            counts.extend(np.bincount([f for f, _ in tasks], minlength=n_folds).tolist())
+            return original(config, n_folds, tasks, results)
 
-        monkeypatch.setattr(evaluation, "_chunks", counting)
+        monkeypatch.setattr(evaluation, "_reports", counting)
         return counts
 
     @pytest.fixture
@@ -466,6 +458,60 @@ class TestOnePoolPerRun:
         # A fold's tasks run after every earlier fold's line and before its own.
         assert logged_before == [f for f, n in enumerate(task_counts) for _ in range(n)]
         assert len(caplog.records) == 5 and max(task_counts) > 1
+
+
+@pytest.fixture
+def run_tasks(monkeypatch):
+    """Each run's task list, (fold, held-out entry indices) pairs, as ``_reports`` gets it."""
+    runs = []
+    original = evaluation._reports
+
+    def recording(config, n_folds, tasks, results):
+        runs.append(tasks)
+        return original(config, n_folds, tasks, results)
+
+    monkeypatch.setattr(evaluation, "_reports", recording)
+    return runs
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "triples", [synthetic_dataset(), [(1, 10, 4), (2, 10, 2), (2, 11, 5)]],
+    ids=["synthetic", "two-empty-folds"],
+)
+def test_tasks_cut_each_fold_into_even_consecutive_slices(run_tasks, triples, workers):
+    rs = as_ratings(triples)
+    run_experiment(rs, RunConfig(k_values=(1,), seed=3, workers=workers))
+    folds = split_folds(rs, seed=3)
+    (tasks,) = run_tasks
+    assert [f for f, _ in tasks] == sorted(f for f, _ in tasks)
+    for f in range(folds.n_folds):
+        chunks = [held for g, held in tasks if g == f]
+        held = np.flatnonzero(folds.fold == f)
+        assert len(chunks) <= 4 * workers and all(c.size for c in chunks)
+        # In order and covering the fold's rows; no task for an empty fold.
+        assert np.concatenate([held[:0]] + chunks).tolist() == held.tolist()
+        if chunks:
+            sizes = [c.size for c in chunks]
+            assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("method", ["pc", "wpc"])
+def test_a_user_whose_rows_straddle_two_tasks_leaves_the_reports_alone(run_tasks, method):
+    rs = as_ratings(synthetic_dataset(n_users=8, seed=5))
+    profiles = StoreStub(synthetic_profiles()) if method == "wpc" else None
+    configs = [RunConfig(method=method, k_values=(1, 3, 5), seed=2, workers=w) for w in (1, 2, 3)]
+    reports = [run_experiment(rs, config, profiles=profiles) for config in configs]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    # Without teeth unless, in every run, some user's rows straddle two tasks of a fold.
+    matrix = split_folds(rs, seed=2).matrix
+    user_of = matrix._entries(np.arange(matrix.n_ratings))[0]
+    for tasks in run_tasks:
+        straddles = [
+            f == g and user_of[a[-1]] == user_of[b[0]]
+            for (f, a), (g, b) in zip(tasks, tasks[1:])
+        ]
+        assert any(straddles), straddles
 
 
 def moderate_dataset(seed=5):

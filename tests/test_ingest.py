@@ -711,6 +711,15 @@ class TestFetchAll:
         assert len(outcomes) == 5
         assert all(o.status == "not-found" for o in outcomes)
 
+    def test_outcomes_come_in_query_order(self):
+        # Numeric item order; ordering by str(item_id) would put 10 before 9.
+        def transport(url, fields, headers):
+            return 200, sparql_xml([])
+
+        movies = {10: ("Ten", ("Drama",)), 9: ("Nine", ("Drama",))}
+        outcomes = fetch_all(movies, "http://e", transport=transport, delay=0)
+        assert [o.item_id for o in outcomes] == [9, 10]
+
 
     @pytest.mark.parametrize(
         "setting, message",
