@@ -18,10 +18,12 @@ kept entries alone. Every scan lists each rater's entries in ascending item
 order, so each rater's sums have the same bits. A user's scan state (its
 widened row, read-only gather and unweighted scores, and the row entries it
 scanned) is one ``_Scan`` record; ``_scan`` keeps each live matrix's last one,
-weakly keyed, so a freed matrix takes its record with it. The matrix stores
-indices narrow (see ``data``); a user's row and an item's column come widened
-to intp, and an index array joined from the matrix's own (the gather's raters,
-a rows scan's items) is widened once, before it indexes anything.
+weakly keyed, so a freed matrix takes its record with it. A ranking or a pair
+looks its record up once, and the kept entries (``_Entries``) carry it to the
+sweep. The matrix stores indices narrow (see ``data``); a user's row and an
+item's column come widened to intp, and an index array joined from the
+matrix's own (the gather's raters, a rows scan's items) is widened once,
+before it indexes anything.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -207,9 +209,19 @@ def _segments(array: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[
     return np.concatenate(parts), starts - (np.cumsum(counts) - counts)
 
 
-def _gather(matrix: RatingMatrix, uix: int) -> _Scan:
-    """User ``uix``'s scan record, with its gather built."""
-    scan = _scan(matrix, uix)
+class _Entries(NamedTuple):
+    """Co-rated entries of one user's scan, with the record they came from, so a
+    sweep reads the user's row without looking the record up again."""
+
+    scan: _Scan
+    slot: np.ndarray  # the entry's item slot in the user's row
+    users: np.ndarray  # the rater
+    vals: np.ndarray  # the rater's value
+
+
+def _gather(matrix: RatingMatrix, uix: int, scan: _Scan | None = None) -> _Scan:
+    """User ``uix``'s scan record (``scan``, when the caller holds it), with its gather built."""
+    scan = _scan(matrix, uix) if scan is None else scan
     if scan.users is None:
         items_a, _ = scan.row
         starts, ends = matrix._iptr[items_a], matrix._iptr[items_a + 1]
@@ -219,9 +231,13 @@ def _gather(matrix: RatingMatrix, uix: int) -> _Scan:
     return scan
 
 
-def _rater_rows(matrix: RatingMatrix, aix: int, raters: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(item slot, rater, value) of the raters' entries on ``aix``'s items, by rater, then item."""
-    items_a, _ = _scan(matrix, aix).row
+def _rater_rows(
+    matrix: RatingMatrix, aix: int, raters: np.ndarray, scan: _Scan | None = None
+) -> _Entries:
+    """The raters' entries on ``aix``'s items, by rater, then item; ``scan`` is
+    ``aix``'s record, when the caller holds it."""
+    scan = _scan(matrix, aix) if scan is None else scan
+    items_a, _ = scan.row
     slot_of = np.full(len(matrix.items), items_a.size, dtype=index_dtype(items_a.size + 1))
     slot_of[items_a] = np.arange(items_a.size)
     starts, ends = matrix._uptr[raters], matrix._uptr[raters + 1]
@@ -230,17 +246,18 @@ def _rater_rows(matrix: RatingMatrix, aix: int, raters: np.ndarray) -> tuple[np.
     kept = np.flatnonzero(slot < items_a.size)
     owner = np.repeat(np.arange(raters.size, dtype=index_dtype(raters.size)), ends - starts)
     owner = owner[kept].astype(np.intp)  # each kept entry's rater
-    return slot[kept].astype(np.intp), raters[owner], matrix._uvals[kept + offset[owner]]
+    vals = matrix._uvals[kept + offset[owner]]
+    return _Entries(scan, slot[kept].astype(np.intp), raters[owner], vals)
 
 
 def _sweep(
-    matrix: RatingMatrix, aix: int, entries: tuple, weights: WeightVector | None = None
+    matrix: RatingMatrix, aix: int, entries: _Entries, weights: WeightVector | None = None
 ) -> tuple[np.ndarray, ...]:
     """(raw, cf, value, overlap) of user ``aix`` against every user over the
-    ``entries`` (item slot in a's row, rater, rater's value) alone; each rater's
-    sums run in the entries' order, and only items on an entry need a weight."""
-    slot, users, vals_u = entries
-    items_a, vals_a = _scan(matrix, aix).row
+    ``entries`` alone; each rater's sums run in the entries' order, and only
+    items on an entry need a weight."""
+    scan, slot, users, vals_u = entries
+    items_a, vals_a = scan.row
     dev_a = (vals_a - matrix._umeans[aix])[slot]
     dev_u = vals_u - matrix._umeans[users]
     w = None
@@ -260,7 +277,7 @@ def _plain_scores(matrix: RatingMatrix, uix: int) -> tuple[np.ndarray, ...]:
     if scan.plain is None:
         slot = scan.slot.astype(np.intp)
         vals = matrix._ivals[np.arange(slot.size) + scan.offset[slot]]
-        scan.plain = _frozen(_sweep(matrix, uix, (slot, scan.users, vals)))
+        scan.plain = _frozen(_sweep(matrix, uix, _Entries(scan, slot, scan.users, vals)))
     return scan.plain
 
 
@@ -392,22 +409,23 @@ def rank_candidates(
     return Ranking(matrix, a, target, cols)
 
 
-def _candidate_entries(matrix: RatingMatrix, aix: int, cand: np.ndarray) -> tuple:
+def _candidate_entries(matrix: RatingMatrix, aix: int, cand: np.ndarray) -> _Entries:
     """The entries co-rated by user ``aix`` and the candidates. Rent or buy: the candidates'
     rows are scanned while the rows scanned for this user, these included, hold fewer entries
-    than its item columns; then its gather is built once and read."""
+    than its item columns; then its gather is built once and read. The user's record is
+    looked up once, here, and travels with the entries."""
     scan = _scan(matrix, aix)
     if scan.users is None:
         scan.rows += int((matrix._uptr[cand + 1] - matrix._uptr[cand]).sum())
         items_a, _ = scan.row
         if scan.rows < (matrix._iptr[items_a + 1] - matrix._iptr[items_a]).sum():
-            return _rater_rows(matrix, aix, cand)
-    g = _gather(matrix, aix)
+            return _rater_rows(matrix, aix, cand, scan)
+    _gather(matrix, aix, scan)
     is_cand = np.zeros(len(matrix.users), dtype=bool)
     is_cand[cand] = True
-    kept = np.flatnonzero(is_cand[g.users])
-    slot = g.slot[kept].astype(np.intp)
-    return slot, g.users[kept], matrix._ivals[kept + g.offset[slot]]
+    kept = np.flatnonzero(is_cand[scan.users])
+    slot = scan.slot[kept].astype(np.intp)
+    return _Entries(scan, slot, scan.users[kept], matrix._ivals[kept + scan.offset[slot]])
 
 
 def select_neighbors(

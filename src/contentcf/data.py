@@ -8,7 +8,8 @@ matrix keeps both a user-major and an item-major view as flat numpy arrays so
 that similarity sweeps over a user's items (and rater lookups for a target
 item) are vectorizable. It stores them narrow: values as int8, user and item
 indices in ``index_dtype`` of the id count, item-major positions as int32, so
-an entry costs 10 bytes below 65,536 ids. A user's row and an item's column
+an entry costs 10 bytes below 65,536 ids, and 6 in a fold's training matrix,
+which keeps no item-major positions. A user's row and an item's column
 come out widened to intp and float64; a reader widens any other index array
 it takes from the matrix before it indexes with it or adds to it. The matrix
 is immutable after construction and safe to share across processes or threads.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -37,6 +39,12 @@ def index_dtype(n: int) -> type:
     16-bit indices faster, but indexes by intp several times faster, and ``+ 1`` wraps in
     uint16: widen an index array to intp before it indexes or takes arithmetic."""
     return np.uint16 if n <= 1 << 16 else np.intp
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else the machine's count, else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
 
 
 def check_choice(name: str, value: object, allowed: tuple) -> None:
@@ -253,8 +261,9 @@ class RatingMatrix:
 
     Per entry it stores the values (``_uvals``, ``_ivals``) as int8, the item
     and user indices (``_uitems``, ``_iusers``) in ``index_dtype`` of the item
-    and user counts, and the item-major permutation (``_by_item``) as int32
-    while the entries fit; a masked matrix shares its source's ids and so its
+    and user counts, and, on a built matrix only, the item-major permutation
+    (``_by_item``) as int32 while the entries fit: 10 bytes an entry below
+    65,536 ids, 6 on a masked matrix, which shares its source's ids and so its
     dtypes. Row pointers and means stay int64 and float64. Every public
     accessor returns Python floats and the original ids.
     """
@@ -281,18 +290,19 @@ class RatingMatrix:
         self._uindex: dict[UserId, int] = {u: i for i, u in enumerate(users)}
         self._iindex: dict[ItemId, int] = {m: i for i, m in enumerate(items)}
         # numpy radix-sorts 16-bit keys, and a stable order is unique whatever the key's dtype.
-        self._build(u_idx, i_idx, vals, np.argsort(i_idx, kind="stable"))
+        by_item = np.argsort(i_idx, kind="stable")
+        self._by_item = by_item.astype(np.int32 if by_item.size < 1 << 31 else np.intp, copy=False)
+        self._build(u_idx, i_idx, vals, u_idx[by_item], vals[by_item])
 
-    def _build(self, u_idx, i_idx, vals, by_item) -> None:
-        """Index entries, given in (user, item) order, over this matrix's ids;
-        ``by_item`` is their item-major permutation."""
+    def _build(self, u_idx, i_idx, vals, iusers, ivals) -> None:
+        """Index entries over this matrix's ids: their users, items and values in
+        (user, item) order, and their users and values in (item, user) order."""
         ucount = np.bincount(u_idx, minlength=len(self._users))
         icount = np.bincount(i_idx, minlength=len(self._items))
         self._uptr = np.concatenate(([0], np.cumsum(ucount)))
         self._uitems, self._uvals = i_idx, vals
         self._iptr = np.concatenate(([0], np.cumsum(icount)))
-        self._by_item = by_item.astype(np.int32 if by_item.size < 1 << 31 else np.intp, copy=False)
-        self._iusers, self._ivals = u_idx[by_item], vals[by_item]
+        self._iusers, self._ivals = iusers, ivals
         # Counts as lists, so a presence check is a plain read; the trailing 0
         # is the count of an unknown id, looked up at index -1.
         self._ucount, self._icount = ucount.tolist() + [0], icount.tolist() + [0]
@@ -313,18 +323,20 @@ class RatingMatrix:
         """The matrix of the entries flagged in ``keep`` (one flag per entry, in
         (user, item) order), in this matrix's index space: ids and index dicts
         are shared, ids left without an entry are absent by their zero count,
-        and the item-major order is this one's, masked, with no sort."""
+        and the item-major arrays are this one's, compressed, with no sort. It
+        keeps no item-major permutation, so it cannot be masked in turn."""
         sub = object.__new__(RatingMatrix)
         sub._users, sub._items = self._users, self._items
         sub._uindex, sub._iindex = self._uindex, self._iindex
-        # The kept entries before each entry, and the item order, index here as int32: a
-        # widened copy would add 8 bytes an entry to a fold build's peak memory.
+        # The kept entries before each user's first, counted in the item order's
+        # int32: an intp count would add 8 bytes an entry to a fold build's peak memory.
         before = np.zeros(keep.size + 1, dtype=self._by_item.dtype)
         np.cumsum(keep, dtype=before.dtype, out=before[1:])
         users = np.arange(len(self._users), dtype=self._iusers.dtype)
         users = np.repeat(users, np.diff(before[self._uptr]))
-        by_item = before[self._by_item[keep[self._by_item]]]
-        sub._build(users, self._uitems[keep], self._uvals[keep], by_item)
+        kept = keep[self._by_item]  # the flags in item-major order
+        uitems, uvals = self._uitems[keep], self._uvals[keep]
+        sub._build(users, uitems, uvals, self._iusers[kept], self._ivals[kept])
         return sub
 
     # -- sizes and identifiers ------------------------------------------------

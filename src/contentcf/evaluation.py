@@ -36,7 +36,15 @@ from typing import Iterable, Literal, Mapping, Sequence, get_args
 import numpy as np
 
 from .cf import EMPTY_RANKING, Denominator, NeighborSet, predict, rank_candidates
-from .data import ItemId, Rating, RatingMatrix, UserId, build_matrix, check_choice
+from .data import (
+    ItemId,
+    Rating,
+    RatingMatrix,
+    UserId,
+    build_matrix,
+    check_choice,
+    usable_cpus,
+)
 from .weighting import K0Branch, WeightCalculator
 
 logger = logging.getLogger(__name__)
@@ -186,10 +194,7 @@ class RunConfig:
 
     @property
     def effective_workers(self) -> int:
-        if self.workers:
-            return self.workers
-        affinity = getattr(os, "sched_getaffinity", None)
-        return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+        return self.workers or usable_cpus()
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ line-delimited record file, so evaluation runs never touch the network.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 import logging
 import time
@@ -28,6 +30,7 @@ from .data import (
     ProfileSource,
     Rating,
     RatingColumns,
+    usable_cpus,
 )
 
 logger = logging.getLogger(__name__)
@@ -87,14 +90,26 @@ class ProfileStore:
 # -- MovieLens file parsing -----------------------------------------------------
 
 
-# Characters per parse block; each block is extended to the end of its last line.
-_BLOCK_CHARS = 1 << 20
+# Characters per parse block; each block is extended to the end of its last line. A
+# parse thread's freed arrays stay resident in its malloc arena, and a later fork
+# inherits them: an ML-1M-shape run with 1 MiB blocks peaked about 20 MiB higher,
+# protocol process and largest worker together, than with these.
+_BLOCK_CHARS = 1 << 18
+# Blocks read and not yet handed to the join, whether queued, parsing or parsed: a
+# fixed count, so the parse's peak memory does not grow with the CPU count. A third
+# block's layout-check arrays would outgrow the join's peak at small blocks.
+_IN_FLIGHT = 2
+# Files of fewer blocks parse in the calling thread: on a 300 KB file (two blocks) a
+# pool took longer than no pool and left its threads' malloc arenas 1.6 MiB resident.
+_POOL_MIN_BLOCKS = 4
 # Ids and timestamps must lie in int64's range.
 _INT64 = range(-(2**63), 2**63)
 # A parsed column's candidate dtypes, narrowest first.
 _NARROW = tuple(map(np.iinfo, (np.int8, np.int16, np.int32, np.int64)))
 # The only bytes of a block the byte path parses.
 _PLAIN_BYTES = b"0123456789:\n"
+# "::" becomes two spaces, which numpy's reader takes as one separator.
+_COLONS_TO_SPACES = bytes.maketrans(b":", b" ")
 # Field digits on the byte path; 18 nines are below 2**63, so no field overflows.
 _MAX_DIGITS = 18
 
@@ -105,15 +120,31 @@ def parse_ratings(path) -> RatingColumns:
     The file is read once, in text mode, in blocks of whole lines. A block of
     plain lines (four fields of 1-18 ASCII digits joined by ``::``, no blank
     lines) with every value 1-5 is checked on arrays and parsed by numpy's C
-    reader. Any other block is walked line by line through ``int``, skipping
-    blank lines; the walk raises its first bad line's error as ``path: line
-    N: ...``. Each column is stored in the narrowest of int8, int16, int32 and
-    int64 that holds its values (ML-1M: 9 bytes a rating), so a caller widens
-    a column before arithmetic that could leave that range. Ids and
-    timestamps must fit in 64 bits.
+    reader. A file of four blocks or more (1 MiB) has its plain blocks
+    parsed on a thread pool of one thread per CPU this process may run on,
+    whatever a run's worker count, at most two blocks at a time; the pool
+    is shut down before the parse returns. The calling thread reads the
+    blocks, walks any other block line by line through ``int``, skipping
+    blank lines, and numbers the lines, in file order; the walk raises its
+    first bad line's error as ``path: line N: ...``. Each column is stored in
+    the narrowest of int8, int16, int32 and int64 that holds its values
+    (ML-1M: 9 bytes a rating), so a caller widens a column before arithmetic
+    that could leave that range. Ids and timestamps must fit in 64 bits.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        tables = list(_block_tables(path, fh))
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        # Set once, here: catch_warnings swaps process-global filters, so one
+        # entered and left in each worker could leave "error" installed after
+        # the parse, or drop it while another block parses.
+        warnings.simplefilter("error")
+        blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
+        head = list(itertools.islice(blocks, _POOL_MIN_BLOCKS))
+        blocks = itertools.chain(head, blocks)
+        threads = usable_cpus() if len(head) == _POOL_MIN_BLOCKS else 1
+        if threads == 1:
+            tables = list(_block_tables(path, ((b, _plain_table(b)) for b in blocks)))
+        else:
+            with ThreadPoolExecutor(threads) as pool:
+                tables = list(_block_tables(path, _parsed_ahead(pool, blocks)))
     # After an empty int8 table, joining promotes each column to the widest
     # of its blocks' dtypes, and a file without lines has 4 columns.
     columns = RatingColumns(*map(np.concatenate, zip(np.empty((4, 0), np.int8), *tables)))
@@ -122,17 +153,38 @@ def parse_ratings(path) -> RatingColumns:
     return columns
 
 
-def _block_tables(path, fh) -> Iterator[list[np.ndarray]]:
-    """Each block's 4 columns, each in the narrowest signed dtype that holds its values."""
+def _parsed_ahead(pool, blocks) -> Iterator[tuple[str, np.ndarray | None]]:
+    """Each block with its ``_plain_table``, in file order, parsed on ``pool``
+    at most ``_IN_FLIGHT`` blocks ahead of the one handed out."""
+    ahead: collections.deque = collections.deque()
+    for block in blocks:
+        ahead.append((block, pool.submit(_plain_table, block)))
+        if len(ahead) == _IN_FLIGHT:
+            block, table = ahead.popleft()
+            yield block, table.result()
+    for block, table in ahead:
+        yield block, table.result()
+
+
+def _block_tables(path, parsed) -> Iterator[list[np.ndarray]]:
+    """Each block's 4 columns, each in the narrowest signed dtype that holds its
+    values, from (block, plain table or None) pairs in file order."""
     first_line = 1
-    for block in iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), ""):
-        table = _digit_table(block.encode("ascii")) if block.isascii() else None
-        if table is not None and RATING_MIN <= table[2].min() and table[2].max() <= RATING_MAX:
+    for block, table in parsed:
+        if table is not None:
             first_line += table.shape[1]  # a plain block has no blank lines
         else:
             table = _line_table(path, block, first_line)
             first_line += block.count("\n")
         yield [col.astype(_narrowest(col)) for col in table]
+
+
+def _plain_table(block: str) -> np.ndarray | None:
+    """The (4, n) table of a block of n plain lines with every value 1-5; None otherwise."""
+    table = _digit_table(block.encode("ascii")) if block.isascii() else None
+    if table is not None and RATING_MIN <= table[2].min() and table[2].max() <= RATING_MAX:
+        return table
+    return None
 
 
 def _narrowest(col: np.ndarray) -> np.dtype:
@@ -142,18 +194,18 @@ def _narrowest(col: np.ndarray) -> np.dtype:
 
 
 def _digit_table(data: bytes) -> np.ndarray | None:
-    """The (4, n) table of a block of n plain lines; None if any line is not plain."""
+    """The (4, n) table of a block of n plain lines; None if any line is not
+    plain, or if numpy's reader fails, warns (an error under the caller's
+    filter) or reads other than 4 values a line."""
     if not data.endswith(b"\n"):
         data += b"\n"
     n = _plain_lines(data)
     if n is None:
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            values = np.fromstring(data.replace(b"::", b" "), dtype=np.int64, sep=" ")
-        except (Warning, ValueError):
-            return None
+    try:
+        values = np.fromstring(data.translate(_COLONS_TO_SPACES), dtype=np.int64, sep=" ")
+    except (Warning, ValueError):
+        return None
     return values.reshape(n, 4).T if values.size == 4 * n else None
 
 

@@ -181,7 +181,8 @@ def test_masked_submatrix_equals_a_fresh_build(triples, data):
     assert i_map[sub._uitems].tolist() == fresh._uitems.tolist()
     assert u_map[sub._iusers].tolist() == fresh._iusers.tolist()
     assert _same(sub._uvals, fresh._uvals) and _same(sub._ivals, fresh._ivals)
-    assert sub._by_item.dtype == fresh._by_item.dtype == np.int32
+    # Only a built matrix keeps its item-major permutation: nothing masks a sub-matrix.
+    assert fresh._by_item.dtype == np.int32 and not hasattr(sub, "_by_item")
     assert _same(sub._umeans[u_map >= 0], fresh._umeans)
     assert np.isnan(sub._umeans[u_map < 0]).all()
 
@@ -477,8 +478,8 @@ def test_entry_dtypes_at_the_uint16_bound(n_ids):
         index = np.uint16 if n_ids <= 1 << 16 else np.intp
         assert matrix._uitems.dtype == matrix._iusers.dtype == index
         assert matrix._uvals.dtype == matrix._ivals.dtype == np.int8
-        assert matrix._by_item.dtype == np.int32
         assert matrix._uptr.dtype == matrix._iptr.dtype == np.int64
+    assert m._by_item.dtype == np.int32 and not hasattr(m._masked(keep), "_by_item")
     last = n_ids - 1
     assert m.raters_of(last) == frozenset({last})
     assert m.ratings_of(last) == {last: float(1 + last % 5)}
@@ -488,9 +489,11 @@ def test_entry_dtypes_at_the_uint16_bound(n_ids):
 @settings(max_examples=50)
 @given(rating_triples(max_ratings=50), st.data())
 def test_an_entry_takes_ten_bytes_below_65536_ids(triples, data):
+    """Six in a sub-matrix, which keeps no item-major permutation."""
     full, sub, _ = _masked_and_fresh(triples, data)
-    for m in (full, sub):
-        assert sum(getattr(m, name).nbytes for name in _PER_ENTRY) == 10 * m.n_ratings
+    assert sum(getattr(full, name).nbytes for name in _PER_ENTRY) == 10 * full.n_ratings
+    sub_arrays = [name for name in _PER_ENTRY if name != "_by_item"]
+    assert sum(getattr(sub, name).nbytes for name in sub_arrays) == 6 * sub.n_ratings
 
 
 @pytest.mark.parametrize("named", [False, True])

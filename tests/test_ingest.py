@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contentcf import ingest
-from contentcf.data import MovieProfile, ProfileSource, Rating, RatingColumns
+from contentcf.data import MovieProfile, ProfileSource, Rating, RatingColumns, usable_cpus
 from contentcf.ingest import (
     FetchError,
     FetchLogEntry,
@@ -502,6 +506,152 @@ class TestNarrowColumns:
         assert path.stat().st_size > 50 * (1 << 14)  # many blocks
         assert len(cols) == n
         assert peak < 24 * n
+
+
+def mixed_blocks_text(n=4000):
+    """``\\r\\n``-ended plain lines, with a non-plain line (a trailing space, a
+    timestamp past int32) in the middle and a blank line and a signed field at the end."""
+    lines = [f"{u % 97 + 1}::{u % 31 + 1}::{1 + u % 5}::{978300000 + u}" for u in range(n)]
+    lines[n // 2] = f"7::8::3::{2**40} "
+    lines[-1:] = ["", "+9::10::2::11"]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def pooled():
+    """A mock whose calls are the parse's thread pools."""
+    return mock.patch.object(ingest, "ThreadPoolExecutor", wraps=ingest.ThreadPoolExecutor)
+
+
+class TestPooledParse:
+    """A file of four blocks or more has its plain blocks parsed on a thread pool
+    of one thread per usable CPU; the outcome is that of a one-thread parse."""
+
+    @pytest.mark.parametrize("block_chars", [50, 64, 1 << 14])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_columns_and_dtypes_equal_a_one_thread_parse(self, tmp_path, cpus, block_chars):
+        path = tmp_path / "ratings.dat"
+        path.write_bytes(mixed_blocks_text().encode())
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            with mock.patch.object(ingest, "usable_cpus", lambda: 1):
+                want = columns_or_message(parse_ratings(path))
+            with mock.patch.object(ingest, "usable_cpus", lambda: cpus):
+                walk = mock.patch.object(ingest, "_line_table", wraps=ingest._line_table)
+                with pooled() as pool, walk as walked:
+                    got = columns_or_message(parse_ratings(path))
+        assert got == want
+        assert [dtype for dtype, _ in got] == [np.dtype(np.int8)] * 3 + [np.dtype(np.int64)]
+        assert pool.call_count == int(cpus > 1)  # a pool only when there is a CPU to spare
+        assert walked.call_count >= 2  # the middle block and the last one
+
+    def test_more_threads_than_cores_with_short_time_slices(self, tmp_path):
+        """Blocks handed out of order, or a warning filter lost between threads,
+        would change the columns or send a plain block down the line walk."""
+        path = tmp_path / "ratings.dat"
+        path.write_bytes(mixed_blocks_text().encode())
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 50):
+            with mock.patch.object(ingest, "usable_cpus", lambda: 1):
+                want = columns_or_message(parse_ratings(path))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with mock.patch.object(ingest, "usable_cpus", lambda: 4 * (os.cpu_count() or 1)):
+                    walk = mock.patch.object(ingest, "_line_table", wraps=ingest._line_table)
+                    with walk as walked:
+                        for _ in range(3):
+                            assert columns_or_message(parse_ratings(path)) == want
+            finally:
+                sys.setswitchinterval(interval)
+        assert walked.call_count == 3 * 2  # the middle block and the last one, each run
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_a_file_of_fewer_than_four_blocks_parses_without_a_pool(self, tmp_path, cpus):
+        path = tmp_path / "ratings.dat"
+        path.write_text(RATINGS)  # a block a line at one character a block
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 1):
+            with mock.patch.object(ingest, "usable_cpus", lambda: cpus):
+                with pooled() as pool:
+                    assert len(parse_ratings(path)) == 3
+                pool.assert_not_called()
+                path.write_text(RATINGS + "3::661::1::978300124\n")
+                with pooled() as pool:
+                    assert len(parse_ratings(path)) == 4
+                assert pool.call_count == int(cpus > 1)
+
+    def test_the_pool_follows_the_cpu_affinity_mask(self, tmp_path):
+        """Unpatched: a pool of one thread per CPU this process may run on, and
+        none when it may run on one alone (as under ``taskset -c 0``)."""
+        path = tmp_path / "ratings.dat"
+        path.write_bytes(mixed_blocks_text().encode())
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 1 << 14):
+            with pooled() as pool:
+                parse_ratings(path)
+        cpus = usable_cpus()
+        assert [c.args for c in pool.call_args_list] == ([(cpus,)] if cpus > 1 else [])
+
+    @pytest.mark.parametrize("cpus", [2, 8])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("40::41::7::0", r"line 40: rating out of range: 7 for \(40, 41\)$"),
+            ("40::x::3::0", "line 40: non-integer field"),
+            ("40::41::3", "line 40: expected 4 '::' fields, got 3$"),
+        ],
+    )
+    def test_first_bad_line_of_a_later_block(self, tmp_path, cpus, bad, message):
+        """The same error and line number as a one-thread parse, from one open of
+        the file; no parse thread outlives the error."""
+        path = tmp_path / "ratings.dat"
+        good = "".join(f"{u}::{u + 1}::3::{u}\r\n" for u in range(1, 40))
+        path.write_bytes((good + bad + "\r\n" + good * 3).encode())
+        threads = threading.active_count()
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 50):
+            with mock.patch.object(ingest, "usable_cpus", lambda: 1):
+                want = parse_outcome(path)
+            with mock.patch.object(ingest, "usable_cpus", lambda: cpus):
+                with mock.patch("builtins.open", wraps=open) as opened:
+                    with pytest.raises(ValueError, match=message) as got:
+                        parse_ratings(path)
+        assert str(got.value) == str(want)
+        assert [c.args[0] for c in opened.call_args_list] == [path]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("outer", [None, "error"])
+    def test_warning_filters_and_threads_are_as_before(self, tmp_path, outer):
+        path = tmp_path / "ratings.dat"
+        path.write_bytes(mixed_blocks_text().encode())
+        with warnings.catch_warnings():
+            if outer:
+                warnings.simplefilter(outer)
+            filters, threads = list(warnings.filters), threading.active_count()
+            with mock.patch.object(ingest, "_BLOCK_CHARS", 1 << 12):
+                with mock.patch.object(ingest, "usable_cpus", lambda: 4):
+                    assert len(parse_ratings(path)) == 4000
+            assert warnings.filters == filters
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [2, 8])
+    def test_at_most_two_blocks_parse_at_once(self, tmp_path, cpus):
+        path = tmp_path / "ratings.dat"
+        path.write_bytes(mixed_blocks_text().encode())
+        lock, running, most = threading.Lock(), [0], [0]
+        plain_table = ingest._plain_table
+
+        def counted(block):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.002)
+            try:
+                return plain_table(block)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 1 << 10):
+            with mock.patch.object(ingest, "usable_cpus", lambda: cpus):
+                with mock.patch.object(ingest, "_plain_table", counted):
+                    parse_ratings(path)
+        assert most[0] <= ingest._IN_FLIGHT == 2
 
 
 class TestParseMovies:
