@@ -19,11 +19,12 @@ order, so each rater's sums have the same bits. A user's scan state (its
 widened row, read-only gather and unweighted scores, and the row entries it
 scanned) is one ``_Scan`` record; ``_scan`` keeps each live matrix's last one,
 weakly keyed, so a freed matrix takes its record with it. A ranking or a pair
-looks its record up once, and the kept entries (``_Entries``) carry it to the
-sweep. The matrix stores indices narrow (see ``data``); a user's row and an
-item's column come widened to intp, and an index array joined from the
-matrix's own (the gather's raters, a rows scan's items) is widened once,
-before it indexes anything.
+looks its record up once and hands it to ``_gather`` or ``_rater_rows``; the
+kept entries (``_Entries``) carry it to the sweep, which reads the user's index
+and row from it. The matrix stores indices narrow (see ``data``); a user's row
+and an item's column come widened to intp, and an index array joined from the
+matrix's own (the gather's raters, a rows scan's items) is widened once, before
+it indexes anything.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -141,7 +142,7 @@ def _pair_correlation(
     """(raw, overlap) of one pair, over the entries a and u co-rated."""
     aix, uix = matrix._user_index(a), matrix._user_index(u)
     entries = _candidate_entries(matrix, aix, np.array([uix]))
-    raw, _, _, overlap = _sweep(matrix, aix, entries, weights)
+    raw, _, _, overlap = _sweep(matrix, entries, weights)
     return float(raw[uix]), int(overlap[uix])
 
 
@@ -219,9 +220,8 @@ class _Entries(NamedTuple):
     vals: np.ndarray  # the rater's value
 
 
-def _gather(matrix: RatingMatrix, uix: int, scan: _Scan | None = None) -> _Scan:
-    """User ``uix``'s scan record (``scan``, when the caller holds it), with its gather built."""
-    scan = _scan(matrix, uix) if scan is None else scan
+def _gather(matrix: RatingMatrix, scan: _Scan) -> _Scan:
+    """The user's scan record ``scan``, with its gather built."""
     if scan.users is None:
         items_a, _ = scan.row
         starts, ends = matrix._iptr[items_a], matrix._iptr[items_a + 1]
@@ -231,12 +231,8 @@ def _gather(matrix: RatingMatrix, uix: int, scan: _Scan | None = None) -> _Scan:
     return scan
 
 
-def _rater_rows(
-    matrix: RatingMatrix, aix: int, raters: np.ndarray, scan: _Scan | None = None
-) -> _Entries:
-    """The raters' entries on ``aix``'s items, by rater, then item; ``scan`` is
-    ``aix``'s record, when the caller holds it."""
-    scan = _scan(matrix, aix) if scan is None else scan
+def _rater_rows(matrix: RatingMatrix, scan: _Scan, raters: np.ndarray) -> _Entries:
+    """The raters' entries on the items of ``scan``'s user, by rater, then item."""
     items_a, _ = scan.row
     slot_of = np.full(len(matrix.items), items_a.size, dtype=index_dtype(items_a.size + 1))
     slot_of[items_a] = np.arange(items_a.size)
@@ -251,14 +247,14 @@ def _rater_rows(
 
 
 def _sweep(
-    matrix: RatingMatrix, aix: int, entries: _Entries, weights: WeightVector | None = None
+    matrix: RatingMatrix, entries: _Entries, weights: WeightVector | None = None
 ) -> tuple[np.ndarray, ...]:
-    """(raw, cf, value, overlap) of user ``aix`` against every user over the
+    """(raw, cf, value, overlap) of the entries' user against every user over the
     ``entries`` alone; each rater's sums run in the entries' order, and only
     items on an entry need a weight."""
     scan, slot, users, vals_u = entries
     items_a, vals_a = scan.row
-    dev_a = (vals_a - matrix._umeans[aix])[slot]
+    dev_a = (vals_a - matrix._umeans[scan.uix])[slot]
     dev_u = vals_u - matrix._umeans[users]
     w = None
     if weights is not None:
@@ -273,11 +269,11 @@ def _sweep(
 def _plain_scores(matrix: RatingMatrix, uix: int) -> tuple[np.ndarray, ...]:
     """Unweighted (raw, cf, value, overlap) of ``uix`` against every user, over every entry
     of its gather."""
-    scan = _gather(matrix, uix)
+    scan = _gather(matrix, _scan(matrix, uix))
     if scan.plain is None:
         slot = scan.slot.astype(np.intp)
         vals = matrix._ivals[np.arange(slot.size) + scan.offset[slot]]
-        scan.plain = _frozen(_sweep(matrix, uix, _Entries(scan, slot, scan.users, vals)))
+        scan.plain = _frozen(_sweep(matrix, _Entries(scan, slot, scan.users, vals)))
     return scan.plain
 
 
@@ -394,7 +390,7 @@ def rank_candidates(
     else:
         _check_target(weights, target)
         entries = _candidate_entries(matrix, aix, cand)
-        raw, cf, value, overlap = _sweep(matrix, aix, entries, weights)
+        raw, cf, value, overlap = _sweep(matrix, entries, weights)
 
     keep = overlap[cand] > 0
     if min_sim is not None:
@@ -419,8 +415,8 @@ def _candidate_entries(matrix: RatingMatrix, aix: int, cand: np.ndarray) -> _Ent
         scan.rows += int((matrix._uptr[cand + 1] - matrix._uptr[cand]).sum())
         items_a, _ = scan.row
         if scan.rows < (matrix._iptr[items_a + 1] - matrix._iptr[items_a]).sum():
-            return _rater_rows(matrix, aix, cand, scan)
-    _gather(matrix, aix, scan)
+            return _rater_rows(matrix, scan, cand)
+    _gather(matrix, scan)
     is_cand = np.zeros(len(matrix.users), dtype=bool)
     is_cand[cand] = True
     kept = np.flatnonzero(is_cand[scan.users])

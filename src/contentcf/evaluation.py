@@ -25,8 +25,6 @@ import logging
 import math
 import multiprocessing
 import numbers
-import os
-import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -391,10 +389,8 @@ def format_comparison_grid(reports: Sequence[ExperimentReport]) -> str:
     return out.getvalue()
 
 
-def emit_report(
-    reports: Sequence[ExperimentReport], path, grid_stream=None
-) -> None:
-    """Write the CSV report and print the comparison grid."""
+def emit_report(reports: Sequence[ExperimentReport], path) -> None:
+    """Write the CSV report and print the comparison grid to stdout."""
     if not reports:
         raise ValueError("no reports to emit")
     n_folds = len(reports[0].fold_maes)
@@ -411,4 +407,4 @@ def emit_report(
                 + [f"{m:.4f}" for m in r.fold_maes]
                 + [f"{r.mae:.4f}", r.predictions, r.fallbacks, r.skipped]
             )
-    print(format_comparison_grid(reports), file=grid_stream or sys.stdout, end="")
+    print(format_comparison_grid(reports), end="")

@@ -13,7 +13,6 @@ import itertools
 import json
 import logging
 import time
-import warnings
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -131,11 +130,7 @@ def parse_ratings(path) -> RatingColumns:
     (ML-1M: 9 bytes a rating), so a caller widens a column before arithmetic
     that could leave that range. Ids and timestamps must fit in 64 bits.
     """
-    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-        # Set once, here: catch_warnings swaps process-global filters, so one
-        # entered and left in each worker could leave "error" installed after
-        # the parse, or drop it while another block parses.
-        warnings.simplefilter("error")
+    with open(path, "r", encoding="utf-8") as fh:
         blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
         head = list(itertools.islice(blocks, _POOL_MIN_BLOCKS))
         blocks = itertools.chain(head, blocks)
@@ -180,33 +175,30 @@ def _block_tables(path, parsed) -> Iterator[list[np.ndarray]]:
 
 
 def _plain_table(block: str) -> np.ndarray | None:
-    """The (4, n) table of a block of n plain lines with every value 1-5; None otherwise."""
-    table = _digit_table(block.encode("ascii")) if block.isascii() else None
-    if table is not None and RATING_MIN <= table[2].min() and table[2].max() <= RATING_MAX:
-        return table
-    return None
+    """The (4, n) table of a block of n plain lines with every value 1-5; None otherwise.
+
+    No warning filter guards numpy's reader: ``_plain_lines`` admits only fields of
+    1-18 digits, integers below 2**63 between spaces once translated, on which the
+    reader has nothing to warn about. A count other than 4 values a line is not plain."""
+    if not block.isascii():
+        return None
+    data = block.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    n = _plain_lines(data)
+    if n is None:
+        return None
+    values = np.fromstring(data.translate(_COLONS_TO_SPACES), dtype=np.int64, sep=" ")
+    if values.size != 4 * n:
+        return None
+    table = values.reshape(n, 4).T
+    return table if RATING_MIN <= table[2].min() and table[2].max() <= RATING_MAX else None
 
 
 def _narrowest(col: np.ndarray) -> np.dtype:
     """The narrowest signed dtype that holds every value of ``col``."""
     lo, hi = (col.min(), col.max()) if col.size else (0, 0)
     return next(t.dtype for t in _NARROW if t.min <= lo and hi <= t.max)
-
-
-def _digit_table(data: bytes) -> np.ndarray | None:
-    """The (4, n) table of a block of n plain lines; None if any line is not
-    plain, or if numpy's reader fails, warns (an error under the caller's
-    filter) or reads other than 4 values a line."""
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    n = _plain_lines(data)
-    if n is None:
-        return None
-    try:
-        values = np.fromstring(data.translate(_COLONS_TO_SPACES), dtype=np.int64, sep=" ")
-    except (Warning, ValueError):
-        return None
-    return values.reshape(n, 4).T if values.size == 4 * n else None
 
 
 def _plain_lines(data: bytes) -> int | None:
@@ -557,16 +549,12 @@ def _read_records(
             yield lineno, record
 
 
-def load_overrides(
-    path,
-    known_items: set[ItemId] | None = None,
-    actor_cap: int | None = OVERRIDE_ACTOR_CAP,
-) -> list[MovieProfile]:
+def load_overrides(path, known_items: set[ItemId] | None = None) -> list[MovieProfile]:
     """Load manually curated people metadata from a JSON-lines file.
 
-    Actor lists longer than the cap keep only the first `actor_cap` entries
-    in file order. Records for items outside `known_items` are skipped with
-    a warning.
+    Actor lists keep only their first ``OVERRIDE_ACTOR_CAP`` (7) entries in
+    file order, the paper's cap. Records for items outside `known_items` are
+    skipped with a warning.
     """
     profiles: list[MovieProfile] = []
     for lineno, record in _read_records(path, required=("item_id",)):
@@ -574,7 +562,7 @@ def load_overrides(
         if known_items is not None and item_id not in known_items:
             logger.warning("%s: line %d: unknown item %r, record skipped", path, lineno, item_id)
             continue
-        profiles.append(_profile(path, lineno, record, ProfileSource.OVERRIDE, actor_cap))
+        profiles.append(_profile(path, lineno, record, ProfileSource.OVERRIDE, OVERRIDE_ACTOR_CAP))
     return profiles
 
 
@@ -598,14 +586,12 @@ def assemble_profiles(
     movies: Mapping[ItemId, tuple[str, tuple[str, ...]]],
     fetched: Mapping[ItemId, FetchOutcome] | None = None,
     overrides: Sequence[MovieProfile] | None = None,
-    linked_actor_cap: int | None = None,
 ) -> ProfileStore:
     """Merge dataset genres, fetched people, and overrides into one store.
 
     Genres always come from the dataset. People come from an override when
     one exists, else from a successful fetch, else stay empty. Fetched actor
-    sets are kept whole by default; a cap keeps the first N in sorted order.
-    Idempotent.
+    sets are kept whole. Idempotent.
     """
     fetched = fetched or {}
     override_by_id = {p.item_id: p for p in (overrides or [])}
@@ -619,8 +605,7 @@ def assemble_profiles(
             source, directors, actors = ProfileSource.OVERRIDE, ov.directors, ov.actors
             entry = FetchLogEntry(_STATUS_OF[source])
         elif fo is not None and fo.status == "ok":
-            source, directors = ProfileSource.LINKED_DATA, fo.directors
-            actors = frozenset(sorted(fo.actors)[:linked_actor_cap])
+            source, directors, actors = ProfileSource.LINKED_DATA, fo.directors, fo.actors
             entry = FetchLogEntry(_STATUS_OF[source], multi_title=fo.multi_title)
         else:
             source, directors, actors = ProfileSource.DATASET, frozenset(), frozenset()

@@ -471,7 +471,7 @@ class TestGatherReadOnly:
         m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         twin = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
         with records_built() as built:
-            g = cf._gather(m, 0)
+            g = cf._gather(m, cf._scan(m, 0))
             assert g.slot.dtype == np.uint16 and g.users.dtype == np.int64
             for arr in (g.offset, g.slot, g.users):
                 assert not arr.flags.writeable
@@ -484,11 +484,11 @@ class TestGatherReadOnly:
             rank_candidates(1, 0, m)
             pearson(1, 3, m)
             weighted_pearson(1, 3, 0, m, wv)
-            assert cf._scan(m, 0) is g and cf._gather(m, 0) is g
+            assert cf._scan(m, 0) is g and cf._gather(m, cf._scan(m, 0)) is g
             assert all(not arr.flags.writeable for arr in g.plain)
             assert built.call_count == 1
-            assert cf._gather(twin, 0) is not g
-            assert cf._gather(m, 1) is not g
+            assert cf._gather(twin, cf._scan(twin, 0)) is not g
+            assert cf._gather(m, cf._scan(m, 1)) is not g
             assert built.call_count == 3
         # Each live matrix holds one record, its last.
         assert len(cf._scans) == 2
@@ -603,10 +603,10 @@ def _entries_on(scan):
 
     def entries(matrix, aix, cand):
         if scan == "rows":
-            return rater_rows(matrix, aix, cand)
+            return rater_rows(matrix, cf._scan(matrix, aix), cand)
         if scan == "cold gather":
             assert cf._scan(matrix, aix).users is None
-            cf._gather(matrix, aix)
+            cf._gather(matrix, cf._scan(matrix, aix))
         with mock.patch.object(cf, "_rater_rows", side_effect=AssertionError("rows scanned")):
             return chosen(matrix, aix, cand)
 
@@ -616,7 +616,7 @@ def _entries_on(scan):
 def _ranked_on(scan, m, a, target, wv, min_sim=None):
     cf._scans.clear()
     if scan == "warm gather":
-        cf._gather(m, m._user_index(a))
+        cf._gather(m, cf._scan(m, m._user_index(a)))
     with mock.patch.object(cf, "_candidate_entries", _entries_on(scan)):
         return _bits(_as_rows(rank_candidates(a, target, m, weights=wv, min_sim=min_sim)))
 
@@ -639,10 +639,10 @@ def _check_every_scan(triples, a, target, weights, min_sim=None):
         return expected
     old = _three_array_scores(m, aix, cand, wv)
     cf._scans.clear()
-    rater_rows = cf._rater_rows(m, aix, cand)
-    cf._gather(m, aix)
+    rater_rows = cf._rater_rows(m, cf._scan(m, aix), cand)
+    cf._gather(m, cf._scan(m, aix))
     for entries in (rater_rows, cf._candidate_entries(m, aix, cand)):
-        new = cf._sweep(m, aix, entries, wv)
+        new = cf._sweep(m, entries, wv)
         for got, want in zip(new, old):
             assert got[cand].tobytes() == want[cand].tobytes()
 
@@ -730,7 +730,7 @@ class TestColdScanCases:
         m = RatingMatrix(RatingColumns(users, items, values, np.zeros(users.size, dtype=np.int64)))
         assert m._uitems.dtype == index_dtype(n_items) and m._iusers.dtype == np.uint16
         cf._scans.clear()
-        g = cf._gather(m, 0)
+        g = cf._gather(m, cf._scan(m, 0))
         assert g.slot.dtype == (np.uint16 if n_items <= 1 << 16 else np.intp)
         assert g.slot[-1] == n_items - 1
         triples = list(zip(users.tolist(), items.tolist(), values.tolist()))
@@ -748,7 +748,7 @@ class TestColdScanCases:
         m = build_matrix(as_ratings(triples))
         assert m._iusers.dtype == index_dtype(n_users) and m._uitems.dtype == np.uint16
         cf._scans.clear()
-        g = cf._gather(m, 0)
+        g = cf._gather(m, cf._scan(m, 0))
         assert g.users.dtype == np.intp and g.users[-1] == last
         # The accessors widen, so no scan's ``+ 1`` can wrap.
         raters, values = m._item_col(m._item_index(9))
@@ -780,7 +780,7 @@ def test_pair_correlations_on_either_scan_match_the_three_array_gather(triples, 
         cf._scans.clear()
         guard = contextlib.nullcontext()
         if warm:
-            cf._gather(m, aix)
+            cf._gather(m, cf._scan(m, aix))
             guard = mock.patch.object(cf, "_rater_rows", side_effect=AssertionError("rows scanned"))
         with guard:
             got = [pearson(a, u, m), weighted_pearson(a, u, m.items[0], m, wv)]

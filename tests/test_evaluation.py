@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import os
 import weakref
 from collections import Counter
 
@@ -636,13 +637,13 @@ class TestModerateScale:
 
 class TestRunConfig:
     def test_default_workers_follow_the_cpu_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert RunConfig().effective_workers == 1
         assert RunConfig(workers=3).effective_workers == 3
-        monkeypatch.delattr(evaluation.os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_getaffinity")
         assert RunConfig().effective_workers == 2
-        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert RunConfig().effective_workers == 1
 
     def test_defaults(self):

@@ -373,7 +373,7 @@ class TestPlainDigitPath:
     def test_other_lines_fall_back_to_the_int_path(self, tmp_path, line):
         path = tmp_path / "ratings.dat"
         path.write_bytes(f"1::1193::5::978300760\n{line}\n2::661::3::978302109\n".encode())
-        with mock.patch.object(ingest, "_digit_table", return_value=None):
+        with mock.patch.object(ingest, "_plain_table", return_value=None):
             want = parse_outcome(path)
         with mock.patch.object(ingest, "_line_table", wraps=ingest._line_table) as int_path:
             got = parse_outcome(path)
@@ -425,9 +425,9 @@ DTYPE_EDGES = [
 def parse_both_paths(path):
     """``parse_ratings``' outcome through the ``int`` path; a file the byte
     path takes gives the same outcome on the byte path alone."""
-    with mock.patch.object(ingest, "_digit_table", return_value=None):
+    with mock.patch.object(ingest, "_plain_table", return_value=None):
         through_int = columns_or_message(parse_ratings(path))
-    if ingest._digit_table(path.read_bytes()) is not None:
+    if ingest._plain_table(path.read_text(encoding="utf-8")) is not None:
         with mock.patch.object(ingest, "_line_table", side_effect=AssertionError("int path")):
             assert columns_or_message(parse_ratings(path)) == through_int
     return through_int
@@ -628,6 +628,33 @@ class TestPooledParse:
                     assert len(parse_ratings(path)) == 4000
             assert warnings.filters == filters
             assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+    def test_a_warning_raised_while_a_parse_runs_stays_a_warning(self, tmp_path, cpus):
+        """The parse changes no process-wide warning filter: a warning that its
+        caller ignores, raised in every block check, is not raised as an error."""
+        path = tmp_path / "ratings.dat"
+        path.write_bytes(mixed_blocks_text().encode())
+        plain_lines, warned, raised = ingest._plain_lines, [], []
+
+        def probe(data):
+            try:
+                warnings.warn("raised while a parse runs", UserWarning)
+                warned.append(True)
+            except UserWarning as exc:
+                raised.append(exc)
+            return plain_lines(data)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            filters = list(warnings.filters)
+            with mock.patch.object(ingest, "_BLOCK_CHARS", 256):
+                with mock.patch.object(ingest, "usable_cpus", lambda: cpus):
+                    with mock.patch.object(ingest, "_plain_lines", probe):
+                        assert len(parse_ratings(path)) == 4000
+            assert warnings.filters == filters
+        assert len(warned) >= ingest._POOL_MIN_BLOCKS
+        assert raised == []
 
     @pytest.mark.parametrize("cpus", [2, 8])
     def test_at_most_two_blocks_parse_at_once(self, tmp_path, cpus):
@@ -960,24 +987,22 @@ class TestAssembleProfiles:
         "failed": FetchOutcome(1, "Toy Story", "failed"),
     }
 
-    @pytest.mark.parametrize("cap", [None, 1])
     @pytest.mark.parametrize("fetch", ["none", "ok", "not-found", "failed"])
     @pytest.mark.parametrize("override", [False, True])
-    def test_precedence(self, override, fetch, cap):
+    def test_precedence(self, override, fetch):
         # Override beats a successful fetch, which beats the dataset; title and
-        # genres always come from the dataset, and the cap trims fetched actors only.
+        # genres always come from the dataset.
         fo = self.FETCHES[fetch]
         store = assemble_profiles(
             self.MOVIES,
             fetched=None if fo is None else {1: fo},
             overrides=[self.OVERRIDE] if override else None,
-            linked_actor_cap=cap,
         )
         if override:
             people = ({"OD"}, {"OA", "OB"})
             source, entry = ProfileSource.OVERRIDE, FetchLogEntry("overridden")
         elif fetch == "ok":
-            people = ({"D"}, {"A"} if cap == 1 else {"A", "B", "C"})
+            people = ({"D"}, {"A", "B", "C"})
             source, entry = ProfileSource.LINKED_DATA, FetchLogEntry("fetched-ok", True)
         else:
             people = (set(), set())
@@ -1006,8 +1031,6 @@ class TestAssembleProfiles:
         }
         unlimited = assemble_profiles(self.MOVIES, fetched=fetched)
         assert len(unlimited.get(1).actors) == 9  # all starring actors kept
-        capped = assemble_profiles(self.MOVIES, fetched=fetched, linked_actor_cap=4)
-        assert capped.get(1).actors == {"A0", "A1", "A2", "A3"}
 
 
 class TestPersistence:
