@@ -396,6 +396,33 @@ class TestPlainDigitPath:
     def test_layout_checks_reject_before_the_c_reader(self, data):
         assert ingest._plain_lines(data) is None
 
+    @pytest.mark.parametrize(
+        ("block", "rows"),
+        [
+            (
+                "1::1193::5::978300760\n2::661::3::978302109\n",
+                [(1, 1193, 5, 978300760), (2, 661, 3, 978302109)],
+            ),
+            ("1::1193::5::978300760", [(1, 1193, 5, 978300760)]),  # no final line end
+            ("999999999999999999::2::1::4\n", [(999999999999999999, 2, 1, 4)]),  # 18 digits
+            ("1::1193::0::978300760\n", None),  # rating below 1
+            ("1::1193::6::978300760\n2::661::3::978302109\n", None),  # rating above 5
+            ("1::1193::5::978300760\n1::٣::5::1\n", None),  # not ASCII
+            ("1::1193::5\n", None),  # three fields
+        ],
+        ids=[
+            "plain", "no-final-newline", "18-digits",
+            "rating-0", "rating-6", "non-ascii", "3-fields",
+        ],
+    )
+    def test_plain_table_alone_decides_a_block(self, block, rows):
+        """One function says whether a block is plain: its table, or None."""
+        table = ingest._plain_table(block)
+        if rows is None:
+            assert table is None
+        else:
+            assert table.dtype == np.int64 and table.T.tolist() == [list(r) for r in rows]
+
     def test_numpy_text_reader_serves_plain_files_with_warnings_as_errors(self, tmp_path):
         """A numpy that deprecates ``np.fromstring``'s text mode fails here,
         instead of silently sending every block to the ``int`` path."""
@@ -933,6 +960,16 @@ class TestLoadOverrides:
         (profile,) = load_overrides(path)
         assert profile.actors == {f"A{i}" for i in range(7)}
         assert profile.source is ProfileSource.OVERRIDE
+
+    @pytest.mark.parametrize("n_actors", [0, 6, 7, 8])
+    def test_actor_lists_up_to_the_paper_cap_kept_whole(self, tmp_path, n_actors):
+        path = tmp_path / "overrides.jsonl"
+        names = [f"Z{i}" for i in range(n_actors)]  # file order, not sorted order
+        names.reverse()
+        path.write_text(json.dumps({"item_id": 1, "actors": names}) + "\n")
+        (profile,) = load_overrides(path)
+        assert profile.actors == set(names[: ingest.OVERRIDE_ACTOR_CAP])
+        assert len(profile.actors) == min(n_actors, 7)
 
     def test_unknown_item_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "overrides.jsonl"
