@@ -8,6 +8,7 @@ key=value config file supplies defaults that explicit flags override.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -29,8 +30,9 @@ DEFAULT_ENDPOINT = "https://dbpedia.org/sparql"
 
 def _read_config_file(path: str, keys: tuple[str, ...]) -> dict[str, str]:
     """Parse `key=value` lines; '#' starts a comment, blank lines are ignored.
-    A key outside ``keys``, the ones the command reads, is an error."""
+    Each of ``keys``, the ones the command reads, may appear once; any other key is an error."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -41,14 +43,13 @@ def _read_config_file(path: str, keys: tuple[str, ...]) -> dict[str, str]:
             key, _, value = map(str.strip, line.partition("="))
             if key not in keys:
                 raise ValueError(f"{path}: line {lineno}: this command reads no key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"{path}: line {lineno}: {key!r} given again (first on line {first_line[key]})"
+                )
+            first_line[key] = lineno
             values[key] = value
     return values
-
-
-def _setting(args: argparse.Namespace, config: dict[str, str], name: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    flag_value = getattr(args, name.replace("-", "_"), None)
-    return config.get(name, default) if flag_value is None else flag_value
 
 
 def _parse_k_list(text: str) -> tuple[int, ...]:
@@ -58,11 +59,8 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad k list {text!r}; expected e.g. 5,10,20") from None
 
 
-# Each run setting a flag or the config file may give, with the parser of its text.
-_RUN_SETTINGS = {
-    "method": str, "k": _parse_k_list, "k0-branch": str, "denominator": str, "min-sim": float,
-    "seed": int, "sample-test": int, "split": str, "workers": int,
-}
+# The parser of each config-file value that is not text, as its flag's type.
+_PARSERS = {"k": _parse_k_list, "min-sim": float, "seed": int, "sample-test": int, "workers": int}
 _RUN_KEYS = (
     "data-dir", "ratings", "profiles", "method", "k", "k0-branch", "denominator", "min-sim",
 )
@@ -75,8 +73,12 @@ _CONFIG_KEYS = {
 }
 
 
-def _endpoint(args: argparse.Namespace, config: dict[str, str]) -> str:
-    return os.environ.get(ENDPOINT_ENV_VAR) or _setting(args, config, "endpoint", DEFAULT_ENDPOINT)
+def _apply_config(args: argparse.Namespace, config: dict[str, str]) -> None:
+    """Give each setting no flag gave its config-file value; flags override the file."""
+    for key, text in config.items():
+        dest = key.replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, _PARSERS.get(key, str)(text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,14 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ratings_path(args, config) -> Path:
-    explicit = _setting(args, config, "ratings")
-    if explicit:
-        return Path(explicit)
-    data_dir = _setting(args, config, "data-dir")
-    if not data_dir:
+def _ratings_path(args) -> Path:
+    if args.ratings:
+        return Path(args.ratings)
+    if not args.data_dir:
         raise SystemExit("error: --ratings or --data-dir is required")
-    return Path(data_dir) / "ratings.dat"
+    return Path(args.data_dir) / "ratings.dat"
 
 
 def _require_file(path: Path) -> Path:
@@ -156,9 +156,11 @@ def _require_file(path: Path) -> Path:
     return path
 
 
-def _cmd_fetch_metadata(args, config) -> int:
+def _cmd_fetch_metadata(args) -> int:
     movies = ingest.parse_movies(_require_file(Path(args.movies)))
-    endpoint = _endpoint(args, config)
+    endpoint = os.environ.get(ENDPOINT_ENV_VAR) or (
+        DEFAULT_ENDPOINT if args.endpoint is None else args.endpoint
+    )
     logger.info("fetching metadata for %d movies from %s", len(movies), endpoint)
     outcomes = ingest.fetch_all(
         movies,
@@ -177,7 +179,7 @@ def _cmd_fetch_metadata(args, config) -> int:
     return 0
 
 
-def _cmd_build_profiles(args, config) -> int:
+def _cmd_build_profiles(args) -> int:
     movies = ingest.parse_movies(_require_file(Path(args.movies)))
     fetched = ingest.load_fetched(_require_file(Path(args.fetched))) if args.fetched else None
     overrides = None
@@ -191,16 +193,14 @@ def _cmd_build_profiles(args, config) -> int:
     return 0
 
 
-def _run_config(args, config, **defaults) -> RunConfig:
+def _run_config(args, **defaults) -> RunConfig:
     """The settings a flag or the config file gave, over ``defaults``;
     ``RunConfig`` holds every other default."""
-    given = dict(defaults)
-    for name, parse in _RUN_SETTINGS.items():
-        value = _setting(args, config, name)
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, "k" if field.name == "k_values" else field.name, None)
         if value is not None:
-            field = "k_values" if name == "k" else name.replace("-", "_")
-            given[field] = parse(value) if isinstance(value, str) else value
-    return RunConfig(**given)
+            defaults[field.name] = value
+    return RunConfig(**defaults)
 
 
 def _load_profiles_if_needed(method: str, profiles_path: str | None):
@@ -211,26 +211,26 @@ def _load_profiles_if_needed(method: str, profiles_path: str | None):
     return ingest.load_profiles(_require_file(Path(profiles_path)))
 
 
-def _cmd_evaluate(args, config) -> int:
-    cfg = _run_config(args, config)
-    ratings = ingest.parse_ratings(_require_file(_ratings_path(args, config)))
-    profiles = _load_profiles_if_needed(cfg.method, _setting(args, config, "profiles"))
+def _cmd_evaluate(args) -> int:
+    cfg = _run_config(args)
+    ratings = ingest.parse_ratings(_require_file(_ratings_path(args)))
+    profiles = _load_profiles_if_needed(cfg.method, args.profiles)
     logger.info(
         "evaluating method=%s k=%s seed=%d on %d ratings",
         cfg.method, list(cfg.k_values), cfg.seed, len(ratings),
     )
     reports = run_experiment(ratings, cfg, profiles=profiles)
-    out = _setting(args, config, "out", "report.csv")
+    out = "report.csv" if args.out is None else args.out
     emit_report(reports, out)
     logger.info("report written to %s", out)
     return 0
 
 
-def _cmd_predict(args, config) -> int:
-    cfg = _run_config(args, config, k_values=(50,))
+def _cmd_predict(args) -> int:
+    cfg = _run_config(args, k_values=(50,))
     if len(cfg.k_values) != 1:
         raise ValueError(f"predict takes one k, got {list(cfg.k_values)}")
-    ratings = ingest.parse_ratings(_require_file(_ratings_path(args, config)))
+    ratings = ingest.parse_ratings(_require_file(_ratings_path(args)))
     matrix = build_matrix(ratings)
     if not matrix.has_user(args.user):
         raise SystemExit(f"error: unknown user {args.user}")
@@ -239,7 +239,7 @@ def _cmd_predict(args, config) -> int:
 
     weights = None
     if cfg.method == "wpc":
-        store = _load_profiles_if_needed(cfg.method, _setting(args, config, "profiles"))
+        store = _load_profiles_if_needed(cfg.method, args.profiles)
         calc = WeightCalculator(store, k0_branch=cfg.k0_branch)
         weights = calc.weights_for(args.item, matrix.ratings_of(args.user).keys())
     neighbors = select_neighbors(
@@ -269,8 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _read_config_file(args.config, _CONFIG_KEYS[args.command]) if args.config else {}
-        return _COMMANDS[args.command](args, config)
+        if args.config:
+            _apply_config(args, _read_config_file(args.config, _CONFIG_KEYS[args.command]))
+        return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
         logger.error("%s", exc)
         return 1

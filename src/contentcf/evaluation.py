@@ -72,16 +72,15 @@ def _entropy_int(value) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FoldAssignment:
-    """Seedable partition of a rating set's (user, item) pairs into folds.
+    """Seedable partition of a rating set's (user, item) pairs into the protocol's five folds.
 
     ``matrix`` holds every rating once; ``fold`` is the fold of each of its
-    entries, in (user, item) order.
+    entries, in (user, item) order, from 0 to ``N_FOLDS - 1``.
     """
 
     seed: int
     matrix: RatingMatrix
     fold: np.ndarray
-    n_folds: int = N_FOLDS
 
     def __post_init__(self) -> None:
         self.fold.flags.writeable = False
@@ -95,10 +94,8 @@ class FoldAssignment:
         return MappingProxyType(dict(zip(pairs, self.fold.tolist())))
 
 
-def split_folds(
-    ratings: Iterable[Rating], seed: int, n_folds: int = N_FOLDS
-) -> FoldAssignment:
-    """Assign each rating to a fold, stratified per item.
+def split_folds(ratings: Iterable[Rating], seed: int) -> FoldAssignment:
+    """Assign each rating to one of ``N_FOLDS`` (five) folds, stratified per item.
 
     Every item's raters, in ascending user id, are shuffled by an RNG seeded
     from (seed, item) and dealt round-robin from a random starting fold, so
@@ -112,33 +109,29 @@ def split_folds(
         for item_id, lo, hi in zip(matrix.items, bounds, bounds[1:]):
             rng = np.random.default_rng([_FOLD_STREAM, _entropy_int(seed), _entropy_int(item_id)])
             perm = rng.permutation(hi - lo)
-            start = int(rng.integers(n_folds))
+            start = int(rng.integers(N_FOLDS))
             at = matrix._by_item[lo + perm].astype(np.intp)
-            fold[at] = (start + np.arange(hi - lo)) % n_folds
+            fold[at] = (start + np.arange(hi - lo)) % N_FOLDS
 
-    return _split(ratings, seed, n_folds, deal)
+    return _split(ratings, seed, deal)
 
 
-def _split_global(
-    ratings: Iterable[Rating], seed: int, n_folds: int = N_FOLDS
-) -> FoldAssignment:
+def _split_global(ratings: Iterable[Rating], seed: int) -> FoldAssignment:
     """Unstratified alternative: one global shuffle, dealt round-robin."""
 
     def deal(matrix: RatingMatrix, fold: np.ndarray) -> None:
         rng = np.random.default_rng([_GLOBAL_STREAM, _entropy_int(seed)])
-        fold[rng.permutation(fold.size)] = np.arange(fold.size) % n_folds
+        fold[rng.permutation(fold.size)] = np.arange(fold.size) % N_FOLDS
 
-    return _split(ratings, seed, n_folds, deal)
+    return _split(ratings, seed, deal)
 
 
-def _split(ratings: Iterable[Rating], seed: int, n_folds: int, deal) -> FoldAssignment:
+def _split(ratings: Iterable[Rating], seed: int, deal) -> FoldAssignment:
     """The run's matrix with its entries labelled by ``deal(matrix, fold)``."""
-    if not 1 <= n_folds <= np.iinfo(np.int8).max:
-        raise ValueError(f"n_folds must be in [1, 127], got {n_folds}")
     matrix = build_matrix(ratings)
     fold = np.empty(matrix.n_ratings, dtype=np.int8)
     deal(matrix, fold)
-    return FoldAssignment(seed=seed, matrix=matrix, fold=fold, n_folds=n_folds)
+    return FoldAssignment(seed=seed, matrix=matrix, fold=fold)
 
 
 def mae(pairs: Iterable[tuple[float, float]]) -> float:
@@ -315,7 +308,7 @@ def run_experiment(
 
     # Tasks in fold order; a fold's held-out entries are in (user, item) order.
     tasks = []
-    for f in range(folds.n_folds):
+    for f in range(N_FOLDS):
         held = np.flatnonzero(folds.fold == f)
         if config.sample_test is not None and held.size > config.sample_test:
             rng = np.random.default_rng([_SAMPLE_STREAM, _entropy_int(config.seed), f])
@@ -326,12 +319,12 @@ def run_experiment(
     evaluate = _fold_evaluator(folds, calculator, config)
     n_workers = min(n_workers, len(tasks))  # a fork pool forks every worker at the first submit
     if n_workers <= 1:
-        return _reports(config, folds.n_folds, tasks, map(evaluate, tasks))
+        return _reports(config, N_FOLDS, tasks, map(evaluate, tasks))
     # Fork hands the evaluator to the workers as it is, without pickling.
     with ProcessPoolExecutor(
         max_workers=n_workers, mp_context=ctx, initializer=_init_worker, initargs=(evaluate,)
     ) as pool:
-        return _reports(config, folds.n_folds, tasks, pool.map(_eval_chunk, tasks))
+        return _reports(config, N_FOLDS, tasks, pool.map(_eval_chunk, tasks))
 
 
 def _reports(config: RunConfig, n_folds: int, tasks, results) -> list[ExperimentReport]:

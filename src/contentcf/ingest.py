@@ -346,11 +346,6 @@ def build_sparql_query(title: str) -> str:
 _SPARQL_NS = {"sr": "http://www.w3.org/2005/sparql-results#"}
 
 
-def _byte_offset(body: bytes, line: int, column: int) -> int:
-    lines = body.split(b"\n")
-    return sum(len(l) + 1 for l in lines[: line - 1]) + column
-
-
 def parse_sparql_xml(body: bytes) -> SparqlMovieResult | None:
     """Aggregate a SPARQL results-XML document into one SparqlMovieResult.
 
@@ -360,10 +355,7 @@ def parse_sparql_xml(body: bytes) -> SparqlMovieResult | None:
     try:
         root = ET.fromstring(body)
     except ET.ParseError as exc:
-        line, column = exc.position
-        raise ValueError(
-            f"malformed XML at byte {_byte_offset(body, line, column)}: {exc}"
-        ) from None
+        raise ValueError(f"malformed XML: {exc}") from None
 
     titles: list[str] = []
     directors: set[str] = set()

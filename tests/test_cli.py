@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from contentcf import ingest
-from contentcf.cli import build_parser, main
+from contentcf.cli import _CONFIG_KEYS, ENDPOINT_ENV_VAR, build_parser, main
 from test_ingest import sparql_xml
 
 
@@ -122,6 +122,42 @@ class TestEvaluateCommand:
         # flag --k 3 wins over config k=1,2
         assert [r[1] for r in rows[1:]] == ["3"]
 
+    @pytest.mark.parametrize(
+        "source", ["data-dir={d}", "data-dir={d}/nope\nratings={d}/ratings.dat"],
+        ids=["data-dir", "ratings-over-data-dir"],
+    )
+    def test_wpc_run_from_config_file_alone(self, dataset, source, capsys):
+        profiles = build_profiles(dataset)
+        rc = main(
+            ["evaluate", "--data-dir", str(dataset), "--method", "wpc", "--profiles",
+             str(profiles), "--k", "1,2", "--workers", "1", "--out", str(dataset / "flags.csv")]
+        )
+        assert rc == 0
+        cfg = dataset / "run.cfg"
+        cfg.write_text(
+            source.format(d=dataset)
+            + f"\nmethod=wpc\nprofiles={profiles}\nk=1,2\nout={dataset / 'config.csv'}\n"
+        )
+        assert main(["evaluate", "--config", str(cfg), "--workers", "1"]) == 0
+        report = (dataset / "config.csv").read_bytes()
+        assert report.splitlines()[1].startswith(b"wpc,1,")
+        assert report == (dataset / "flags.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command", [["evaluate", "--workers", "1"], ["predict", "--user", "1", "--item", "2"]]
+    )
+    def test_config_file_key_given_twice_rejected(self, dataset, command, capsys, caplog):
+        cfg = dataset / "run.cfg"
+        cfg.write_text("k=1\n# neighbours\nk=50\n")
+        out = dataset / "never.csv"
+        if command[0] == "evaluate":
+            command = command + ["--out", str(out)]
+        rc = main(command[:1] + ["--data-dir", str(dataset), "--config", str(cfg)] + command[1:])
+        assert rc == 1
+        assert "run.cfg: line 3: 'k' given again (first on line 1)" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_deterministic_across_runs(self, dataset, capsys):
         args = [
             "evaluate", "--data-dir", str(dataset),
@@ -187,6 +223,22 @@ class TestPredictCommand:
         )
         assert rc == 0
         assert 1.0 <= float(capsys.readouterr().out.strip()) <= 5.0
+
+    def test_wpc_settings_from_config_file(self, dataset, capsys):
+        profiles = build_profiles(dataset)
+        base = ["predict", "--user", "1", "--item", "2"]
+        rc = main(base + ["--ratings", str(dataset / "ratings.dat"), "--method", "wpc",
+                          "--profiles", str(profiles)])
+        assert rc == 0
+        from_flags = capsys.readouterr().out
+        assert main(base + ["--ratings", str(dataset / "ratings.dat")]) == 0
+        assert capsys.readouterr().out != from_flags  # pc predicts differently here
+        cfg = dataset / "run.cfg"
+        cfg.write_text(
+            f"ratings={dataset / 'ratings.dat'}\nmethod=wpc\nprofiles={profiles}\n"
+        )
+        assert main(base + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == from_flags
 
     def test_config_file_value_outside_choices_rejected(self, dataset):
         # argparse choices never see config-file values; RunConfig must.
@@ -326,6 +378,18 @@ class TestFetchMetadataCommand:
         assert all('"status":"ok"' in l for l in lines)
         assert "Stub Director" in lines[0]
 
+    def test_endpoint_from_config_file(self, dataset, stub_endpoint, monkeypatch):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        cfg = dataset / "fetch.cfg"
+        cfg.write_text(f"endpoint={stub_endpoint}\n")
+        out = dataset / "fetched.jsonl"
+        rc = main(
+            ["fetch-metadata", "--movies", str(dataset / "movies.dat"), "--out", str(out),
+             "--config", str(cfg), "--limit", "1", "--delay", "0"]
+        )
+        assert rc == 0
+        assert '"status":"ok"' in out.read_text()
+
     def test_env_var_overrides_endpoint(self, dataset, stub_endpoint, monkeypatch):
         monkeypatch.setenv("CONTENTCF_SPARQL_ENDPOINT", stub_endpoint)
         out = dataset / "fetched.jsonl"
@@ -415,6 +479,18 @@ class TestHelp:
             for option, dest in options.items():
                 if option not in shared:
                     assert dest == option[2:].replace("-", "_"), option
+
+    def test_config_keys_are_the_option_names(self):
+        # evaluate and predict read their own options' names without "--", except
+        # config, verbose, user and item; a flag added without its key fails here.
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        unread = {"-h", "--help", "--config", "--verbose", "--user", "--item"}
+        for command in ("evaluate", "predict"):
+            options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+            assert sorted(_CONFIG_KEYS[command]) == sorted(o[2:] for o in options - unread)
+        assert _CONFIG_KEYS["fetch-metadata"] == ("endpoint",)
+        assert _CONFIG_KEYS["build-profiles"] == ()
 
     def test_predict_help_describes_run_settings(self, capsys):
         with pytest.raises(SystemExit):

@@ -17,6 +17,7 @@ from contentcf import evaluation
 from contentcf.cf import rank_candidates
 from contentcf.data import MovieProfile, RatingMatrix, build_matrix
 from contentcf.evaluation import (
+    N_FOLDS,
     ExperimentReport,
     RunConfig,
     _split_global,
@@ -63,12 +64,6 @@ class TestSplitFolds:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             split_folds([], seed=1)
-
-    @pytest.mark.parametrize("n_folds", [0, 128])
-    @pytest.mark.parametrize("mode", sorted(SPLITS))
-    def test_fold_count_outside_the_label_range_rejected(self, mode, n_folds):
-        with pytest.raises(ValueError, match="n_folds"):
-            SPLITS[mode](ratings_for_item(300), seed=1, n_folds=n_folds)
 
     def test_folds_label_the_matrix_entries(self):
         rs = as_ratings(synthetic_dataset())
@@ -486,7 +481,7 @@ def test_tasks_cut_each_fold_into_even_consecutive_slices(run_tasks, triples, wo
     folds = split_folds(rs, seed=3)
     (tasks,) = run_tasks
     assert [f for f, _ in tasks] == sorted(f for f, _ in tasks)
-    for f in range(folds.n_folds):
+    for f in range(N_FOLDS):
         chunks = [held for g, held in tasks if g == f]
         held = np.flatnonzero(folds.fold == f)
         assert len(chunks) <= 4 * workers and all(c.size for c in chunks)

@@ -805,7 +805,7 @@ class TestParseSparqlXml:
         assert result.distinct_titles == 2
 
     def test_malformed_xml_reports_byte_offset(self):
-        with pytest.raises(ValueError, match="byte"):
+        with pytest.raises(ValueError, match="^malformed XML: .*line 1, column 25$"):
             parse_sparql_xml(b"<sparql><results><result>")
 
 
