@@ -19,7 +19,7 @@ from typing import get_args
 from . import ingest
 from .cf import Denominator, predict, select_neighbors
 from .data import build_matrix
-from .evaluation import Method, RunConfig, SplitMode, emit_report, run_experiment
+from .evaluation import Method, RunConfig, emit_report, run_experiment
 from .weighting import K0Branch, WeightCalculator
 
 logger = logging.getLogger(__name__)
@@ -28,10 +28,11 @@ ENDPOINT_ENV_VAR = "CONTENTCF_SPARQL_ENDPOINT"
 DEFAULT_ENDPOINT = "https://dbpedia.org/sparql"
 
 
-def _read_config_file(path: str, keys: tuple[str, ...]) -> dict[str, str]:
+def _read_config_file(path: str, keys: tuple[str, ...]) -> dict[str, object]:
     """Parse `key=value` lines; '#' starts a comment, blank lines are ignored.
-    Each of ``keys``, the ones the command reads, may appear once; any other key is an error."""
-    values: dict[str, str] = {}
+    Each of ``keys``, the ones the command reads, may appear once; any other key is an error.
+    Each value is parsed as its flag's is, so a bad one fails with its line."""
+    values: dict[str, object] = {}
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -48,7 +49,10 @@ def _read_config_file(path: str, keys: tuple[str, ...]) -> dict[str, str]:
                     f"{path}: line {lineno}: {key!r} given again (first on line {first_line[key]})"
                 )
             first_line[key] = lineno
-            values[key] = value
+            try:
+                values[key] = _PARSERS.get(key, str)(value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{path}: line {lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
@@ -68,17 +72,17 @@ _RUN_KEYS = (
 _CONFIG_KEYS = {
     "fetch-metadata": ("endpoint",),
     "build-profiles": (),
-    "evaluate": _RUN_KEYS + ("seed", "sample-test", "split", "workers", "out"),
+    "evaluate": _RUN_KEYS + ("seed", "sample-test", "workers", "out"),
     "predict": _RUN_KEYS,
 }
 
 
-def _apply_config(args: argparse.Namespace, config: dict[str, str]) -> None:
+def _apply_config(args: argparse.Namespace, config: dict[str, object]) -> None:
     """Give each setting no flag gave its config-file value; flags override the file."""
-    for key, text in config.items():
+    for key, value in config.items():
         dest = key.replace("-", "_")
         if getattr(args, dest) is None:
-            setattr(args, dest, _PARSERS.get(key, str)(text))
+            setattr(args, dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="fold-split seed (default 42)")
     p.add_argument("--sample-test", type=int, dest="sample_test",
                    help="evaluate a seeded subsample of each test fold")
-    p.add_argument("--split", choices=get_args(SplitMode), help="fold split policy (default per-item)")
     p.add_argument("--workers", type=int,
                    help="parallel workers (default: every CPU this process may run on)")
     p.add_argument("--out", help="report CSV path (default report.csv)")
@@ -161,7 +164,6 @@ def _cmd_fetch_metadata(args) -> int:
     endpoint = os.environ.get(ENDPOINT_ENV_VAR) or (
         DEFAULT_ENDPOINT if args.endpoint is None else args.endpoint
     )
-    logger.info("fetching metadata for %d movies from %s", len(movies), endpoint)
     outcomes = ingest.fetch_all(
         movies,
         endpoint,

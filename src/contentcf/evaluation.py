@@ -50,12 +50,10 @@ logger = logging.getLogger(__name__)
 N_FOLDS = 5
 
 Method = Literal["pc", "wpc"]
-SplitMode = Literal["per-item", "global"]
 
-# Domain separators so the fold, sampling, and global-split RNG streams never collide.
+# Domain separators so the fold and sampling RNG streams never collide.
 _FOLD_STREAM = 0x0F01D
 _SAMPLE_STREAM = 0x5A3D7
-_GLOBAL_STREAM = 0x6C0BA
 
 
 def _is_int(value) -> bool:
@@ -102,35 +100,16 @@ def split_folds(ratings: Iterable[Rating], seed: int) -> FoldAssignment:
     per-item fold counts differ by at most one and the assignment depends
     only on the rating set and the seed, never on input order.
     """
-
-    def deal(matrix: RatingMatrix, fold: np.ndarray) -> None:
-        # The item-major order lists each item's raters in ascending user order.
-        bounds = matrix._iptr.tolist()
-        for item_id, lo, hi in zip(matrix.items, bounds, bounds[1:]):
-            rng = np.random.default_rng([_FOLD_STREAM, _entropy_int(seed), _entropy_int(item_id)])
-            perm = rng.permutation(hi - lo)
-            start = int(rng.integers(N_FOLDS))
-            at = matrix._by_item[lo + perm].astype(np.intp)
-            fold[at] = (start + np.arange(hi - lo)) % N_FOLDS
-
-    return _split(ratings, seed, deal)
-
-
-def _split_global(ratings: Iterable[Rating], seed: int) -> FoldAssignment:
-    """Unstratified alternative: one global shuffle, dealt round-robin."""
-
-    def deal(matrix: RatingMatrix, fold: np.ndarray) -> None:
-        rng = np.random.default_rng([_GLOBAL_STREAM, _entropy_int(seed)])
-        fold[rng.permutation(fold.size)] = np.arange(fold.size) % N_FOLDS
-
-    return _split(ratings, seed, deal)
-
-
-def _split(ratings: Iterable[Rating], seed: int, deal) -> FoldAssignment:
-    """The run's matrix with its entries labelled by ``deal(matrix, fold)``."""
     matrix = build_matrix(ratings)
     fold = np.empty(matrix.n_ratings, dtype=np.int8)
-    deal(matrix, fold)
+    # The item-major order lists each item's raters in ascending user order.
+    bounds = matrix._iptr.tolist()
+    for item_id, lo, hi in zip(matrix.items, bounds, bounds[1:]):
+        rng = np.random.default_rng([_FOLD_STREAM, _entropy_int(seed), _entropy_int(item_id)])
+        perm = rng.permutation(hi - lo)
+        start = int(rng.integers(N_FOLDS))
+        at = matrix._by_item[lo + perm].astype(np.intp)
+        fold[at] = (start + np.arange(hi - lo)) % N_FOLDS
     return FoldAssignment(seed=seed, matrix=matrix, fold=fold)
 
 
@@ -158,13 +137,11 @@ class RunConfig:
     min_sim: float | None = None
     sample_test: int | None = None
     workers: int | None = None
-    split: SplitMode = "per-item"
 
     def __post_init__(self) -> None:
         check_choice("method", self.method, get_args(Method))
         check_choice("k0_branch", self.k0_branch, get_args(K0Branch))
         check_choice("denominator", self.denominator, get_args(Denominator))
-        check_choice("split", self.split, get_args(SplitMode))
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
         if not all(_is_int(k) and k >= 1 for k in self.k_values):
@@ -288,8 +265,7 @@ def run_experiment(
             raise ValueError("method 'wpc' requires movie profiles")
         calculator = WeightCalculator(profiles, k0_branch=config.k0_branch)
 
-    split = _split_global if config.split == "global" else split_folds
-    folds = split(ratings, config.seed)
+    folds = split_folds(ratings, config.seed)
     if calculator is not None:
         unprofiled = [m for m in folds.matrix.items if not calculator.has_profile(m)]
         if unprofiled:
@@ -319,20 +295,20 @@ def run_experiment(
     evaluate = _fold_evaluator(folds, calculator, config)
     n_workers = min(n_workers, len(tasks))  # a fork pool forks every worker at the first submit
     if n_workers <= 1:
-        return _reports(config, N_FOLDS, tasks, map(evaluate, tasks))
+        return _reports(config, tasks, map(evaluate, tasks))
     # Fork hands the evaluator to the workers as it is, without pickling.
     with ProcessPoolExecutor(
         max_workers=n_workers, mp_context=ctx, initializer=_init_worker, initargs=(evaluate,)
     ) as pool:
-        return _reports(config, N_FOLDS, tasks, pool.map(_eval_chunk, tasks))
+        return _reports(config, tasks, pool.map(_eval_chunk, tasks))
 
 
-def _reports(config: RunConfig, n_folds: int, tasks, results) -> list[ExperimentReport]:
+def _reports(config: RunConfig, tasks, results) -> list[ExperimentReport]:
     """Reduce the results in task order, each fold when its last task returns."""
     n_k = len(config.k_values)
     empty = (np.zeros((n_k, 0)), np.zeros((n_k, 0), dtype=bool), np.zeros(0, dtype=bool))
     per_fold = []  # |error| sums per k, fallbacks per k, predictions, held-out rows, MAE per k
-    for f, n_tasks in enumerate(np.bincount([f for f, _ in tasks], minlength=n_folds).tolist()):
+    for f, n_tasks in enumerate(np.bincount([f for f, _ in tasks], minlength=N_FOLDS).tolist()):
         # Chunks are consecutive, so the concatenation is aligned to the fold's rows.
         fold_results = itertools.islice(results, n_tasks)
         abs_err, fell, predicted = (np.concatenate(c, axis=-1) for c in zip(empty, *fold_results))
@@ -343,7 +319,7 @@ def _reports(config: RunConfig, n_folds: int, tasks, results) -> list[Experiment
         per_fold.append((err_sums, fell.sum(axis=1), n_pred, n_rows, fold_mae))
         logger.info(
             "fold %d/%d (%s): %d predictions, %d skipped, mae per k %s",
-            f + 1, n_folds, config.method, n_pred, n_rows - n_pred,
+            f + 1, N_FOLDS, config.method, n_pred, n_rows - n_pred,
             np.round(fold_mae, 4).tolist(),
         )
 

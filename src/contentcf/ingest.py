@@ -13,6 +13,7 @@ import itertools
 import json
 import logging
 import time
+import urllib.parse
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -444,13 +445,18 @@ def fetch_all(
     title after an empty answer. Failures are recorded, never raised: a movie
     is "failed" when no title answered and any attempt failed.
     Output is in query order, by item id, regardless of completion order. A
-    setting out of range raises ValueError before any request.
+    setting out of range, or an endpoint that is no http(s) URL with a host,
+    raises ValueError before any request.
     """
     for name, value, least in (("concurrency", concurrency, 1), ("retries", retries, 0),
                                ("delay", delay, 0), ("limit", 0 if limit is None else limit, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    url = urllib.parse.urlsplit(endpoint)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError(f"endpoint must be an http or https URL with a host, got {endpoint!r}")
     todo = sorted(movies.items())[:limit]
+    logger.info("fetching metadata for %d movies from %s", len(todo), endpoint)
 
     def one(entry: tuple[ItemId, tuple[str, tuple[str, ...]]]) -> FetchOutcome:
         item_id, (title, _genres) = entry

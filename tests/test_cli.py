@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import subprocess
 import sys
 import threading
@@ -166,6 +167,35 @@ class TestEvaluateCommand:
         main(args + ["--out", str(dataset / "r1.csv")])
         main(args + ["--out", str(dataset / "r2.csv")])
         assert (dataset / "r1.csv").read_bytes() == (dataset / "r2.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "line, flags",
+        [("seed=", []), ("workers=two", []), ("k=5,x", []), ("min-sim=abc", []),
+         ("seed=x", ["--seed", "3"])],
+    )
+    def test_config_file_bad_value_names_file_line_and_key(self, dataset, line, flags, caplog):
+        # A value is parsed where it is read, so it fails even where a flag overrides its key.
+        cfg = dataset / "run.cfg"
+        cfg.write_text(f"method=pc\n{line}\n")
+        out = dataset / "never.csv"
+        rc = main(["evaluate", "--data-dir", str(dataset), "--config", str(cfg),
+                   "--out", str(out)] + flags)
+        assert rc == 1
+        key = line.partition("=")[0]
+        assert f"run.cfg: line 2: bad value for '{key}': " in caplog.text
+        assert not out.exists()
+
+    def test_split_is_no_setting(self, dataset, caplog):
+        out = dataset / "never.csv"
+        base = ["evaluate", "--data-dir", str(dataset), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--split", "global"])
+        assert exc.value.code == 2
+        cfg = dataset / "run.cfg"
+        cfg.write_text("split=per-item\n")
+        assert main(base + ["--config", str(cfg)]) == 1
+        assert "run.cfg: line 1: this command reads no key 'split'" in caplog.text
+        assert not out.exists()
 
 
 class TestPredictCommand:
@@ -378,6 +408,17 @@ class TestFetchMetadataCommand:
         assert all('"status":"ok"' in l for l in lines)
         assert "Stub Director" in lines[0]
 
+    def test_fetch_line_counts_the_movies_fetched(self, dataset, stub_endpoint, caplog):
+        out = dataset / "fetched.jsonl"
+        with caplog.at_level(logging.INFO):
+            rc = main(
+                ["fetch-metadata", "--movies", str(dataset / "movies.dat"),
+                 "--endpoint", stub_endpoint, "--out", str(out), "--limit", "1", "--delay", "0"]
+            )
+        assert rc == 0
+        fetch_lines = [r.getMessage() for r in caplog.records if "fetching" in r.getMessage()]
+        assert fetch_lines == [f"fetching metadata for 1 movies from {stub_endpoint}"]
+
     def test_endpoint_from_config_file(self, dataset, stub_endpoint, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
         cfg = dataset / "fetch.cfg"
@@ -413,13 +454,20 @@ class TestFetchMetadataCommand:
             ("--retries", "-1", "retries must be >= 0, got -1"),
             ("--delay", "-1", "delay must be >= 0, got -1.0"),
             ("--limit", "-1", "limit must be >= 0, got -1"),
+            # The last --endpoint given wins.
+            *(
+                ("--endpoint", url, f"endpoint must be an http or https URL with a host, got {url!r}")
+                for url in ("", "dbpedia.org/sparql")
+            ),
         ],
     )
     def test_bad_setting_exits_1_before_any_request(
-        self, dataset, flag, value, message, caplog
+        self, dataset, flag, value, message, monkeypatch, caplog
     ):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
         out = dataset / "fetched.jsonl"
-        with mock.patch.object(ingest, "fetch_profile", side_effect=AssertionError("request")):
+        no_request = mock.patch.object(ingest, "fetch_profile", side_effect=AssertionError("request"))
+        with no_request, caplog.at_level(logging.INFO):
             rc = main(
                 [
                     "fetch-metadata",
@@ -431,6 +479,7 @@ class TestFetchMetadataCommand:
             )
         assert rc == 1
         assert message in caplog.text
+        assert "fetching metadata" not in caplog.text
         assert not out.exists()
 
     def test_config_file_key_it_does_not_read_rejected(self, dataset, caplog):
@@ -466,8 +515,7 @@ class TestHelp:
             "fetch-metadata": shared | {"--movies", "--endpoint", "--out", "--limit",
                                         "--concurrency", "--retries", "--delay"},
             "build-profiles": shared | {"--movies", "--fetched", "--overrides", "--out"},
-            "evaluate": shared | run | {"--seed", "--sample-test", "--split", "--workers",
-                                        "--out"},
+            "evaluate": shared | run | {"--seed", "--sample-test", "--workers", "--out"},
             "predict": shared | run | {"--user", "--item"},
         }
         parser = build_parser()

@@ -20,7 +20,6 @@ from contentcf.evaluation import (
     N_FOLDS,
     ExperimentReport,
     RunConfig,
-    _split_global,
     emit_report,
     format_comparison_grid,
     mae,
@@ -29,9 +28,6 @@ from contentcf.evaluation import (
 )
 from conftest import as_ratings, rating_triples
 from oracle import naive_evaluate, naive_item_weight
-
-
-SPLITS = {"per-item": split_folds, "global": _split_global}
 
 
 def ratings_for_item(n, item_id=7):
@@ -82,31 +78,26 @@ class TestSplitFolds:
 
 # sha256 of the sorted fold_of items of synthetic_dataset(n_users=60) at seed
 # 42, recorded when the assignment was a dict filled rating by rating.
-PINNED_ASSIGNMENTS = {
-    "per-item": "77dd3d11028bdb5a58f72b82308b29137f7973eab58e3c15918f83233df4caf0",
-    "global": "84e5cffad5177f77f414593444c2317e4ca6e63d3669a77d6f81908d2e5d8fe8",
-}
+PINNED_ASSIGNMENT = "77dd3d11028bdb5a58f72b82308b29137f7973eab58e3c15918f83233df4caf0"
 
 
-@pytest.mark.parametrize("mode", sorted(SPLITS))
-def test_fold_assignment_pinned(mode):
-    folds = SPLITS[mode](as_ratings(synthetic_dataset(n_users=60)), seed=42)
+def test_fold_assignment_pinned():
+    folds = split_folds(as_ratings(synthetic_dataset(n_users=60)), seed=42)
     digest = hashlib.sha256(repr(sorted(folds.fold_of.items())).encode()).hexdigest()
-    assert digest == PINNED_ASSIGNMENTS[mode]
+    assert digest == PINNED_ASSIGNMENT
 
 
-@pytest.mark.parametrize("mode", sorted(SPLITS))
-def test_duplicate_pair_rejected_at_the_split(mode, monkeypatch):
+def test_duplicate_pair_rejected_at_the_split(monkeypatch):
     rs = as_ratings(
         [(1, 10, 4), (2, 10, 3), (3, 10, 5), (1, 20, 2), (2, 20, 1), (1, 10, 5)]
     )
     with pytest.raises(ValueError, match=r"duplicate.*\(1, 10\)"):
-        SPLITS[mode](rs, seed=1)
+        split_folds(rs, seed=1)
 
     ranked = []
     monkeypatch.setattr(evaluation, "rank_candidates", lambda *a, **kw: ranked.append(a))
     with pytest.raises(ValueError, match=r"duplicate.*\(1, 10\)"):
-        run_experiment(rs, RunConfig(method="pc", k_values=(2,), workers=1, split=mode))
+        run_experiment(rs, RunConfig(method="pc", k_values=(2,), workers=1))
     assert ranked == []
 
 
@@ -302,27 +293,19 @@ class TestRunExperiment:
         cfg = RunConfig(method="pc", k_values=(3,), seed=2, workers=1, sample_test=7)
         assert run_experiment(rs, cfg) == run_experiment(rs, cfg)
 
-    def test_global_split_mode(self):
-        rs = as_ratings(synthetic_dataset())
-        cfg = RunConfig(method="pc", k_values=(3,), seed=2, workers=1, split="global")
-        reports = run_experiment(rs, cfg)
-        assert reports[0].predictions + reports[0].skipped == len(rs)
-
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("split", sorted(SPLITS))
-    def test_fold_holding_every_rating_skips_it(self, split, workers):
+    def test_fold_holding_every_rating_skips_it(self, workers):
         # One rating: its fold trains on an empty matrix, every other fold holds nothing.
-        cfg = RunConfig(method="pc", k_values=(1,), seed=3, workers=workers, split=split)
+        cfg = RunConfig(method="pc", k_values=(1,), seed=3, workers=workers)
         r = run_experiment(as_ratings([(1, 10, 4)]), cfg)[0]
         assert (r.predictions, r.fallbacks, r.skipped) == (0, 0, 1)
         assert all(np.isnan(m) for m in r.fold_maes) and np.isnan(r.mae)
 
-    @pytest.mark.parametrize("split", sorted(SPLITS))
-    def test_worker_count_does_not_change_degenerate_folds(self, split):
+    def test_worker_count_does_not_change_degenerate_folds(self):
         # Three ratings: three folds of one row each, two empty folds.
         rs = as_ratings([(1, 10, 4), (2, 10, 2), (2, 11, 5)])
         reports = [
-            run_experiment(rs, RunConfig(k_values=(1, 2), seed=3, workers=w, split=split))
+            run_experiment(rs, RunConfig(k_values=(1, 2), seed=3, workers=w))
             for w in (1, 2)
         ]
         assert reports[0][0].predictions + reports[0][0].skipped == 3
@@ -359,9 +342,9 @@ class TestOnePoolPerRun:
         counts = []
         original = evaluation._reports
 
-        def counting(config, n_folds, tasks, results):
-            counts.extend(np.bincount([f for f, _ in tasks], minlength=n_folds).tolist())
-            return original(config, n_folds, tasks, results)
+        def counting(config, tasks, results):
+            counts.extend(np.bincount([f for f, _ in tasks], minlength=N_FOLDS).tolist())
+            return original(config, tasks, results)
 
         monkeypatch.setattr(evaluation, "_reports", counting)
         return counts
@@ -462,9 +445,9 @@ def run_tasks(monkeypatch):
     runs = []
     original = evaluation._reports
 
-    def recording(config, n_folds, tasks, results):
+    def recording(config, tasks, results):
         runs.append(tasks)
-        return original(config, n_folds, tasks, results)
+        return original(config, tasks, results)
 
     monkeypatch.setattr(evaluation, "_reports", recording)
     return runs
@@ -600,17 +583,9 @@ class TestModerateScale:
             assert r.mae == pytest.approx(exp_mae, abs=1e-12)
             assert [r.predictions, r.fallbacks, r.skipped] == exp_counts
 
-    @pytest.mark.parametrize(
-        "method, split, sample_test",
-        [
-            # pc cases keep their plain "<split>-<sample_test>" ids.
-            pytest.param(m, s, n, id=f"{s}-{n}" if m == "pc" else f"{m}-{s}-{n}")
-            for m in ("pc", "wpc")
-            for n in (None, 150)
-            for s in sorted(SPLITS)
-        ],
-    )
-    def test_worker_count_does_not_change_reports(self, method, split, sample_test):
+    @pytest.mark.parametrize("sample_test", [None, 150])
+    @pytest.mark.parametrize("method", ["pc", "wpc"])
+    def test_worker_count_does_not_change_reports(self, method, sample_test):
         rs = as_ratings(moderate_dataset())
         reports = [
             run_experiment(
@@ -620,7 +595,6 @@ class TestModerateScale:
                     k_values=self.K,
                     seed=8,
                     workers=workers,
-                    split=split,
                     sample_test=sample_test,
                 ),
                 profiles=StoreStub(moderate_profiles()),
@@ -657,7 +631,6 @@ class TestRunConfig:
             {"k_values": (0,)},
             {"sample_test": 0},
             {"denominator": "ABS"},
-            {"split": "bogus"},
             {"k0_branch": "x"},
             {"min_sim": float("nan")},
             {"workers": -3},

@@ -933,13 +933,17 @@ class TestFetchAll:
             ({"delay": -1}, "delay must be >= 0, got -1"),
             ({"delay": -0.5}, "delay must be >= 0, got -0.5"),
             ({"limit": -1}, "limit must be >= 0, got -1"),
+            *(
+                ({"endpoint": url}, f"endpoint must be an http or https URL with a host, got {url!r}")
+                for url in ("", "dbpedia.org/sparql", "ftp://dbpedia.org/x", "http://", "http:///x")
+            ),
         ],
     )
     def test_bad_setting_rejected_before_any_request(self, setting, message):
         transport = mock.Mock(side_effect=AssertionError("request sent"))
         movies = {i: (f"Movie {i}", ("Drama",)) for i in range(1, 6)}
         with pytest.raises(ValueError, match=f"^{message}$"):
-            fetch_all(movies, "http://e", transport=transport, **setting)
+            fetch_all(movies, **{"endpoint": "http://e", **setting}, transport=transport)
         transport.assert_not_called()
 
     def test_limit_zero_fetches_nothing(self):
