@@ -16,15 +16,16 @@ scanned for the user so far hold fewer entries than its item columns, then
 the gather, built once. ``_sweep`` computes deviations and weights for the
 kept entries alone. Every scan lists each rater's entries in ascending item
 order, so each rater's sums have the same bits. A user's scan state (its
-widened row, read-only gather and unweighted scores, and the row entries it
-scanned) is one ``_Scan`` record; ``_scan`` keeps each live matrix's last one,
-weakly keyed, so a freed matrix takes its record with it. A ranking or a pair
-looks its record up once and hands it to ``_gather`` or ``_rater_rows``; the
-kept entries (``_Entries``) carry it to the sweep, which reads the user's index
-and row from it. The matrix stores indices narrow (see ``data``); a user's row
-and an item's column come widened to intp, and an index array joined from the
-matrix's own (the gather's raters, a rows scan's items) is widened once, before
-it indexes anything.
+widened row and column-entry total, read-only gather and unweighted scores,
+the row entries it scanned and its item-to-slot table) is one ``_Scan``
+record; ``_scan`` keeps each live matrix's last one, weakly keyed, so a freed
+matrix takes its record with it. A ranking or a pair looks its record up once
+and hands it to ``_gather`` or ``_rater_rows``; the kept entries
+(``_Entries``) carry it to the sweep, which reads the user's index and row
+from it. The matrix stores indices narrow (see ``data``); a user's row and an
+item's column come widened to intp, and an index array joined from the
+matrix's own (the gather's raters, a rows scan's items) is widened once,
+before it indexes anything.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -179,10 +180,12 @@ class _Scan:
 
     uix: int  # the user's index
     row: tuple[np.ndarray, np.ndarray]  # the user's item indices and values, widened once
+    columns: int  # the entries in the user's item columns: the gather's size
     offset: np.ndarray | None = None  # per item: its column's start minus its first entry here
     slot: np.ndarray | None = None  # each entry's item slot: uint16, or intp past 65,536 items
     users: np.ndarray | None = None  # each entry's rater, widened to intp once at build
     rows: int = 0  # the candidates' row entries scanned before the gather was built
+    slot_of: np.ndarray | None = None  # per item of the matrix: its slot, or the row's length
     plain: tuple[np.ndarray, ...] | None = None  # the unweighted scores
 
 
@@ -193,7 +196,9 @@ def _scan(matrix: RatingMatrix, uix: int) -> _Scan:
     """User ``uix``'s record on ``matrix``: the matrix's last one if it is this user's."""
     scan = _scans.get(matrix)
     if scan is None or scan.uix != uix:
-        scan = _scans[matrix] = _Scan(uix, matrix._user_row(uix))
+        items, vals = matrix._user_row(uix)
+        columns = int((matrix._iptr[items + 1] - matrix._iptr[items]).sum())
+        scan = _scans[matrix] = _Scan(uix, (items, vals), columns)
     return scan
 
 
@@ -234,11 +239,13 @@ def _gather(matrix: RatingMatrix, scan: _Scan) -> _Scan:
 def _rater_rows(matrix: RatingMatrix, scan: _Scan, raters: np.ndarray) -> _Entries:
     """The raters' entries on the items of ``scan``'s user, by rater, then item."""
     items_a, _ = scan.row
-    slot_of = np.full(len(matrix.items), items_a.size, dtype=index_dtype(items_a.size + 1))
-    slot_of[items_a] = np.arange(items_a.size)
+    if scan.slot_of is None:
+        slot_of = np.full(len(matrix.items), items_a.size, dtype=index_dtype(items_a.size + 1))
+        slot_of[items_a] = np.arange(items_a.size)
+        (scan.slot_of,) = _frozen((slot_of,))
     starts, ends = matrix._uptr[raters], matrix._uptr[raters + 1]
     rows, offset = _segments(matrix._uitems, starts, ends)
-    slot = slot_of[rows.astype(np.intp)]
+    slot = scan.slot_of[rows.astype(np.intp)]
     kept = np.flatnonzero(slot < items_a.size)
     owner = np.repeat(np.arange(raters.size, dtype=index_dtype(raters.size)), ends - starts)
     owner = owner[kept].astype(np.intp)  # each kept entry's rater
@@ -413,8 +420,7 @@ def _candidate_entries(matrix: RatingMatrix, aix: int, cand: np.ndarray) -> _Ent
     scan = _scan(matrix, aix)
     if scan.users is None:
         scan.rows += int((matrix._uptr[cand + 1] - matrix._uptr[cand]).sum())
-        items_a, _ = scan.row
-        if scan.rows < (matrix._iptr[items_a + 1] - matrix._iptr[items_a]).sum():
+        if scan.rows < scan.columns:
             return _rater_rows(matrix, scan, cand)
     _gather(matrix, scan)
     is_cand = np.zeros(len(matrix.users), dtype=bool)

@@ -7,12 +7,11 @@ a reader widens a column before arithmetic that could overflow it. The rating
 matrix keeps both a user-major and an item-major view as flat numpy arrays so
 that similarity sweeps over a user's items (and rater lookups for a target
 item) are vectorizable. It stores them narrow: values as int8, user and item
-indices in ``index_dtype`` of the id count, item-major positions as int32, so
-an entry costs 10 bytes below 65,536 ids, and 6 in a fold's training matrix,
-which keeps no item-major positions. A user's row and an item's column
-come out widened to intp and float64; a reader widens any other index array
-it takes from the matrix before it indexes with it or adds to it. The matrix
-is immutable after construction and safe to share across processes or threads.
+indices in ``index_dtype`` of the id count, so an entry costs 6 bytes below
+65,536 ids. A user's row and an item's column come out widened to intp and
+float64; a reader widens any other index array it takes from the matrix
+before it indexes with it or adds to it. The matrix is immutable after
+construction and safe to share across processes or threads.
 """
 
 from __future__ import annotations
@@ -259,13 +258,11 @@ class RatingMatrix:
     A masked matrix (``_masked``, a fold's training set) keeps its source's
     ``users`` and ``items``; an id left without an entry is absent by its zero count.
 
-    Per entry it stores the values (``_uvals``, ``_ivals``) as int8, the item
-    and user indices (``_uitems``, ``_iusers``) in ``index_dtype`` of the item
-    and user counts, and, on a built matrix only, the item-major permutation
-    (``_by_item``) as int32 while the entries fit: 10 bytes an entry below
-    65,536 ids, 6 on a masked matrix, which shares its source's ids and so its
-    dtypes. Row pointers and means stay int64 and float64. Every public
-    accessor returns Python floats and the original ids.
+    Per entry it stores the values (``_uvals``, ``_ivals``) as int8 and the
+    item and user indices (``_uitems``, ``_iusers``) in ``index_dtype`` of the
+    item and user counts (a masked matrix's are its source's): 6 bytes an entry
+    below 65,536 ids. Row pointers and means stay int64 and float64. Every
+    public accessor returns Python floats and the original ids.
     """
 
     def __init__(self, ratings: Iterable[Rating]):
@@ -289,20 +286,20 @@ class RatingMatrix:
         self._items: tuple[ItemId, ...] = items
         self._uindex: dict[UserId, int] = {u: i for i, u in enumerate(users)}
         self._iindex: dict[ItemId, int] = {m: i for i, m in enumerate(items)}
+        self._build(u_idx, i_idx, vals)
+
+    def _build(self, u_idx, i_idx, vals) -> None:
+        """Index entries over this matrix's ids from their users, items and values in
+        (user, item) order. The item-major arrays follow a stable sort by item, which keeps
+        each item's raters in user order."""
         # numpy radix-sorts 16-bit keys, and a stable order is unique whatever the key's dtype.
         by_item = np.argsort(i_idx, kind="stable")
-        self._by_item = by_item.astype(np.int32 if by_item.size < 1 << 31 else np.intp, copy=False)
-        self._build(u_idx, i_idx, vals, u_idx[by_item], vals[by_item])
-
-    def _build(self, u_idx, i_idx, vals, iusers, ivals) -> None:
-        """Index entries over this matrix's ids: their users, items and values in
-        (user, item) order, and their users and values in (item, user) order."""
         ucount = np.bincount(u_idx, minlength=len(self._users))
         icount = np.bincount(i_idx, minlength=len(self._items))
         self._uptr = np.concatenate(([0], np.cumsum(ucount)))
         self._uitems, self._uvals = i_idx, vals
         self._iptr = np.concatenate(([0], np.cumsum(icount)))
-        self._iusers, self._ivals = iusers, ivals
+        self._iusers, self._ivals = u_idx[by_item], vals[by_item]
         # Counts as lists, so a presence check is a plain read; the trailing 0
         # is the count of an unknown id, looked up at index -1.
         self._ucount, self._icount = ucount.tolist() + [0], icount.tolist() + [0]
@@ -322,21 +319,13 @@ class RatingMatrix:
     def _masked(self, keep: np.ndarray) -> RatingMatrix:
         """The matrix of the entries flagged in ``keep`` (one flag per entry, in
         (user, item) order), in this matrix's index space: ids and index dicts
-        are shared, ids left without an entry are absent by their zero count,
-        and the item-major arrays are this one's, compressed, with no sort. It
-        keeps no item-major permutation, so it cannot be masked in turn."""
+        are shared, and ids left without an entry are absent by their zero count."""
         sub = object.__new__(RatingMatrix)
         sub._users, sub._items = self._users, self._items
         sub._uindex, sub._iindex = self._uindex, self._iindex
-        # The kept entries before each user's first, counted in the item order's
-        # int32: an intp count would add 8 bytes an entry to a fold build's peak memory.
-        before = np.zeros(keep.size + 1, dtype=self._by_item.dtype)
-        np.cumsum(keep, dtype=before.dtype, out=before[1:])
         users = np.arange(len(self._users), dtype=self._iusers.dtype)
-        users = np.repeat(users, np.diff(before[self._uptr]))
-        kept = keep[self._by_item]  # the flags in item-major order
-        uitems, uvals = self._uitems[keep], self._uvals[keep]
-        sub._build(users, uitems, uvals, self._iusers[kept], self._ivals[kept])
+        users = np.repeat(users, np.diff(self._uptr))[keep]
+        sub._build(users, self._uitems[keep], self._uvals[keep])
         return sub
 
     # -- sizes and identifiers ------------------------------------------------

@@ -102,14 +102,14 @@ def split_folds(ratings: Iterable[Rating], seed: int) -> FoldAssignment:
     """
     matrix = build_matrix(ratings)
     fold = np.empty(matrix.n_ratings, dtype=np.int8)
-    # The item-major order lists each item's raters in ascending user order.
+    # The stable item-major order lists each item's raters in ascending user order.
+    by_item = np.argsort(matrix._uitems, kind="stable")
     bounds = matrix._iptr.tolist()
     for item_id, lo, hi in zip(matrix.items, bounds, bounds[1:]):
         rng = np.random.default_rng([_FOLD_STREAM, _entropy_int(seed), _entropy_int(item_id)])
         perm = rng.permutation(hi - lo)
         start = int(rng.integers(N_FOLDS))
-        at = matrix._by_item[lo + perm].astype(np.intp)
-        fold[at] = (start + np.arange(hi - lo)) % N_FOLDS
+        fold[by_item[lo + perm]] = (start + np.arange(hi - lo)) % N_FOLDS
     return FoldAssignment(seed=seed, matrix=matrix, fold=fold)
 
 

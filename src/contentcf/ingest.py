@@ -452,9 +452,13 @@ def fetch_all(
                                ("delay", delay, 0), ("limit", 0 if limit is None else limit, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value!r}")
-    url = urllib.parse.urlsplit(endpoint)
+    bad_endpoint = f"endpoint must be an http or https URL with a host, got {endpoint!r}"
+    try:
+        url = urllib.parse.urlsplit(endpoint)
+    except ValueError:  # a malformed host, such as an unclosed "["
+        raise ValueError(bad_endpoint) from None
     if url.scheme not in ("http", "https") or not url.hostname:
-        raise ValueError(f"endpoint must be an http or https URL with a host, got {endpoint!r}")
+        raise ValueError(bad_endpoint)
     todo = sorted(movies.items())[:limit]
     logger.info("fetching metadata for %d movies from %s", len(todo), endpoint)
 

@@ -457,7 +457,7 @@ class TestFetchMetadataCommand:
             # The last --endpoint given wins.
             *(
                 ("--endpoint", url, f"endpoint must be an http or https URL with a host, got {url!r}")
-                for url in ("", "dbpedia.org/sparql")
+                for url in ("", "dbpedia.org/sparql", "http://[dbpedia.org/sparql")
             ),
         ],
     )

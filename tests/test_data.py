@@ -113,9 +113,7 @@ def test_matrix_input_order_irrelevant(triples):
     assert forward.item_raters == backward.item_raters
 
 
-_MATRIX_ARRAYS = (
-    "_uptr", "_uitems", "_uvals", "_iptr", "_by_item", "_iusers", "_ivals", "_umeans"
-)
+_MATRIX_ARRAYS = ("_uptr", "_uitems", "_uvals", "_iptr", "_iusers", "_ivals", "_umeans")
 
 
 def _masked_and_fresh(triples, data):
@@ -181,8 +179,9 @@ def test_masked_submatrix_equals_a_fresh_build(triples, data):
     assert i_map[sub._uitems].tolist() == fresh._uitems.tolist()
     assert u_map[sub._iusers].tolist() == fresh._iusers.tolist()
     assert _same(sub._uvals, fresh._uvals) and _same(sub._ivals, fresh._ivals)
-    # Only a built matrix keeps its item-major permutation: nothing masks a sub-matrix.
-    assert fresh._by_item.dtype == np.int32 and not hasattr(sub, "_by_item")
+    # No matrix stores an array beyond these, so none keeps an item-major permutation.
+    for m in (full, sub, fresh):
+        assert {k for k, v in vars(m).items() if isinstance(v, np.ndarray)} == set(_MATRIX_ARRAYS)
     assert _same(sub._umeans[u_map >= 0], fresh._umeans)
     assert np.isnan(sub._umeans[u_map < 0]).all()
 
@@ -406,6 +405,13 @@ def test_object_ids_from_ratings_encode_through_np_unique():
     assert (ints[0], ints[1].tolist(), ints[2]) == (distinct, index.tolist(), False)
 
 
+def _assert_item_major_by(m, order):
+    """``m``'s item-major users and values are its user-major entries gathered through ``order``."""
+    users = np.repeat(np.arange(len(m.users)), np.diff(m._uptr))
+    assert m._iusers.tolist() == users[order].tolist()
+    assert _same(m._ivals, m._uvals[order])
+
+
 @settings(max_examples=100, deadline=None)
 @given(rating_triples(max_users=12, max_items=12, max_ratings=60), st.randoms())
 def test_item_order_is_the_int64_stable_order(triples, random):
@@ -413,7 +419,7 @@ def test_item_order_is_the_int64_stable_order(triples, random):
     users, items, values = (np.array(c, dtype=np.int64) for c in zip(*triples))
     parsed = RatingColumns(users, items, values, np.zeros(len(triples), dtype=np.int64))
     for m in (build_matrix(as_ratings(triples)), build_matrix(parsed)):
-        assert m._by_item.tolist() == np.argsort(m._uitems.astype(np.int64), kind="stable").tolist()
+        _assert_item_major_by(m, np.argsort(m._uitems.astype(np.int64), kind="stable"))
 
 
 @pytest.mark.parametrize("n_items", [1 << 16, (1 << 16) + 1])
@@ -430,12 +436,12 @@ def test_item_order_at_the_uint16_bound(n_items):
     assert len(m.items) == n_items
     keys = [c.args[0].dtype for c in argsort.call_args_list]
     assert (np.dtype(np.uint16) in keys) == (n_items <= 1 << 16)
-    assert m._by_item.tolist() == np.argsort(m._uitems, kind="stable").tolist()
+    _assert_item_major_by(m, np.argsort(m._uitems.astype(np.int64), kind="stable"))
 
 
 # -- compact storage -------------------------------------------------------------
 
-_PER_ENTRY = ("_uitems", "_uvals", "_by_item", "_iusers", "_ivals")
+_PER_ENTRY = ("_uitems", "_uvals", "_iusers", "_ivals")
 
 
 def _diagonal(n):
@@ -479,7 +485,6 @@ def test_entry_dtypes_at_the_uint16_bound(n_ids):
         assert matrix._uitems.dtype == matrix._iusers.dtype == index
         assert matrix._uvals.dtype == matrix._ivals.dtype == np.int8
         assert matrix._uptr.dtype == matrix._iptr.dtype == np.int64
-    assert m._by_item.dtype == np.int32 and not hasattr(m._masked(keep), "_by_item")
     last = n_ids - 1
     assert m.raters_of(last) == frozenset({last})
     assert m.ratings_of(last) == {last: float(1 + last % 5)}
@@ -488,12 +493,11 @@ def test_entry_dtypes_at_the_uint16_bound(n_ids):
 
 @settings(max_examples=50)
 @given(rating_triples(max_ratings=50), st.data())
-def test_an_entry_takes_ten_bytes_below_65536_ids(triples, data):
-    """Six in a sub-matrix, which keeps no item-major permutation."""
+def test_an_entry_takes_six_bytes_below_65536_ids(triples, data):
+    """On a built matrix and on a sub-matrix alike."""
     full, sub, _ = _masked_and_fresh(triples, data)
-    assert sum(getattr(full, name).nbytes for name in _PER_ENTRY) == 10 * full.n_ratings
-    sub_arrays = [name for name in _PER_ENTRY if name != "_by_item"]
-    assert sum(getattr(sub, name).nbytes for name in sub_arrays) == 6 * sub.n_ratings
+    for m in (full, sub):
+        assert sum(getattr(m, name).nbytes for name in _PER_ENTRY) == 6 * m.n_ratings
 
 
 @pytest.mark.parametrize("named", [False, True])

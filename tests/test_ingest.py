@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -935,14 +936,15 @@ class TestFetchAll:
             ({"limit": -1}, "limit must be >= 0, got -1"),
             *(
                 ({"endpoint": url}, f"endpoint must be an http or https URL with a host, got {url!r}")
-                for url in ("", "dbpedia.org/sparql", "ftp://dbpedia.org/x", "http://", "http:///x")
+                for url in ("", "dbpedia.org/sparql", "ftp://dbpedia.org/x", "http://", "http:///x",
+                            "http://[dbpedia.org/sparql")
             ),
         ],
     )
     def test_bad_setting_rejected_before_any_request(self, setting, message):
         transport = mock.Mock(side_effect=AssertionError("request sent"))
         movies = {i: (f"Movie {i}", ("Drama",)) for i in range(1, 6)}
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fetch_all(movies, **{"endpoint": "http://e", **setting}, transport=transport)
         transport.assert_not_called()
 
