@@ -36,6 +36,11 @@ list from anywhere else has its deviations looked up and goes through the
 same sums. Each running sum starts from an exact +0.0 and ``np.cumsum``
 adds in sequence, so column n has the bits of the left-to-right loop
 ``s = 0.0; s += term`` over the first n terms.
+
+``_plain_grid`` is the evaluation's pc path: one user's T targets at once. Their
+columns are joined with a target slot, ranked by the rule ``rank_candidates`` uses
+(``_ranked``) with the slot as first key, and summed zero-padded to one width, so
+every (k, target) prediction has the bits of ``predict`` over that ranking's head.
 """
 
 from __future__ import annotations
@@ -299,13 +304,13 @@ class _Candidates(NamedTuple):
 
 
 def _prefix_sums(dev: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Rows: running sums of dev*value, |value| and value; column n covers
-    the first n neighbours and column 0 is an exact +0.0."""
-    terms = np.zeros((3, value.size + 1))
-    terms[0, 1:] = dev * value
-    terms[1, 1:] = np.abs(value)
-    terms[2, 1:] = value
-    return np.cumsum(terms, axis=1)
+    """Running sums of dev*value, |value| and value along the last axis, stacked first;
+    column n covers the first n neighbours and column 0 is an exact +0.0."""
+    terms = np.zeros((3, *value.shape[:-1], value.shape[-1] + 1))
+    terms[0, ..., 1:] = dev * value
+    terms[1, ..., 1:] = np.abs(value)
+    terms[2, ..., 1:] = value
+    return np.cumsum(terms, axis=-1)
 
 
 class Ranking(Sequence):
@@ -399,17 +404,54 @@ def rank_candidates(
         entries = _candidate_entries(matrix, aix, cand)
         raw, cf, value, overlap = _sweep(matrix, entries, weights)
 
-    keep = overlap[cand] > 0
-    if min_sim is not None:
-        keep &= value[cand] >= min_sim
-    cand, r_ut = cand[keep], r_ut[keep]
-    if cand.size == 0:
+    ranked = _ranked(cand, value, overlap, min_sim)
+    if ranked.size == 0:
         return EMPTY_RANKING
-    order = np.lexsort((cand, -value[cand]))
-    cand, r_ut = cand[order], r_ut[order]
+    cand, r_ut = cand[ranked], r_ut[ranked]
     dev = r_ut - matrix._umeans[cand]
     cols = _Candidates(cand, raw[cand], cf[cand], value[cand], overlap[cand], dev)
     return Ranking(matrix, a, target, cols)
+
+
+def _ranked(cand, value, overlap, min_sim, slot=None) -> np.ndarray:
+    """Positions in ``cand`` of the candidates kept, best first: zero overlap and a value
+    below ``min_sim`` drop out, and the rest sort by (slot, -value, user index)."""
+    keep = overlap[cand] > 0
+    if min_sim is not None:
+        keep &= value[cand] >= min_sim
+    kept = np.flatnonzero(keep)
+    cand = cand[kept]
+    keys = (cand, -value[cand]) if slot is None else (cand, -value[cand], slot[kept])
+    return kept[np.lexsort(keys)]
+
+
+def _plain_grid(matrix, aix, targets, k_values, denominator, min_sim):
+    """Unweighted predictions of user ``aix`` for item indices ``targets`` at every k, and
+    their fallback flags, each shaped (k, target): ``rank_candidates`` then ``predict`` per
+    (target, k), with the same float operations, in array passes over all the targets."""
+    _, _, value, overlap = _plain_scores(matrix, aix)
+    targets = np.asarray(targets, dtype=np.intp)
+    counts = matrix._iptr[targets + 1] - matrix._iptr[targets]
+    slot = np.repeat(np.arange(targets.size), counts)  # each entry's target
+    at = np.arange(slot.size) + (matrix._iptr[targets] - (np.cumsum(counts) - counts))[slot]
+    cand = matrix._iusers[at].astype(np.intp)  # every target's raters, widened once
+    others = np.flatnonzero(cand != aix)
+    ranked = others[_ranked(cand[others], value, overlap, min_sim, slot[others])]
+    cand, slot, at = cand[ranked], slot[ranked], at[ranked]
+    # Each target's first max(k) neighbours, zero-padded to one width.
+    n = np.bincount(slot, minlength=targets.size)
+    place = np.arange(slot.size) - (np.cumsum(n) - n)[slot]
+    top = np.flatnonzero(place < max(k_values))
+    dev, val = np.zeros((2, targets.size, min(n.max(initial=0), max(k_values))))
+    cand, slot, place = cand[top], slot[top], place[top]
+    dev[slot, place] = matrix._ivals[at[top]] - matrix._umeans[cand]
+    val[slot, place] = value[cand]
+    reach = np.minimum(np.array(k_values)[:, None], n)
+    num, mass_abs, mass = _prefix_sums(dev, val)[:, np.arange(targets.size), reach]
+    den = mass_abs if denominator == "abs" else mass
+    fell = np.abs(den) < _DEN_EPS  # no neighbours leaves den at 0.0
+    step = np.divide(num, den, out=np.zeros(den.shape), where=~fell)  # a fallback's is 0.0
+    return np.clip(matrix._umeans[aix] + step, 1.0, 5.0), fell
 
 
 def _candidate_entries(matrix: RatingMatrix, aix: int, cand: np.ndarray) -> _Entries:

@@ -11,8 +11,10 @@ order, in one task list (fold, chunk) per run, 4 even chunks per fold and
 worker, served in-process or by one worker pool. Each process builds a fold's
 training matrix on its first task of that fold: the run's matrix with the fold
 masked out, in its index space, where an id left without a training entry is
-absent by its zero count. Results are reduced in task order, so reports are
-identical for any worker count.
+absent by its zero count. A task's pc rows are evaluated one user at a time, in
+array passes over all of the user's targets and the whole k grid; wpc rows one
+at a time, a ranking each and a prediction per k. Results are reduced in task
+order, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
-from .cf import EMPTY_RANKING, Denominator, NeighborSet, predict, rank_candidates
+from .cf import EMPTY_RANKING, Denominator, NeighborSet, _plain_grid, predict, rank_candidates
 from .data import (
     ItemId,
     Rating,
@@ -216,24 +218,37 @@ def _eval_ratings(matrix: RatingMatrix, calculator: WeightCalculator | None, con
     and whether the row was predicted. A skipped row (user absent from
     training) has error 0 and no fallback.
     """
-    users, items, actuals = (col.tolist() for col in rows)
-    errors = np.zeros((len(config.k_values), len(actuals)))
+    errors = np.zeros((len(config.k_values), rows[0].size))
     fallbacks = np.zeros(errors.shape, dtype=bool)
-    predicted = np.zeros(len(actuals), dtype=bool)
-    current_user, user_items = -1, []
+    predicted = np.zeros(rows[0].size, dtype=bool)
 
+    if calculator is None:  # pc: each user's rows at once, across the k grid
+        users, items, actuals = rows
+        cuts = (np.flatnonzero(np.diff(users)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, users.size]):
+            u = int(users[lo])
+            if matrix._ucount[u]:
+                predictions, fallbacks[:, lo:hi] = _plain_grid(
+                    matrix, u, items[lo:hi], config.k_values, config.denominator, config.min_sim
+                )
+                errors[:, lo:hi] = np.abs(actuals[lo:hi] - predictions)
+                predicted[lo:hi] = True
+        return errors, fallbacks, predicted
+
+    users, items, actuals = (col.tolist() for col in rows)
+    current_user, user_items = -1, []
     for row, (u, i, actual) in enumerate(zip(users, items, actuals)):
         if not matrix._ucount[u]:
             continue
         user_id, item_id = matrix.users[u], matrix.items[i]
-        if calculator is not None and u != current_user:
+        if u != current_user:
             current_user = u
             user_row, _ = matrix._user_row(u)
             user_items = list(map(matrix.items.__getitem__, user_row.tolist()))
 
         ranked = EMPTY_RANKING
         if matrix._icount[i]:
-            weights = None if calculator is None else calculator.weights_for(item_id, user_items)
+            weights = calculator.weights_for(item_id, user_items)
             ranked = rank_candidates(
                 user_id, item_id, matrix, weights=weights, min_sim=config.min_sim
             )

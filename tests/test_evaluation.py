@@ -11,10 +11,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contentcf import evaluation
-from contentcf.cf import rank_candidates
+from contentcf.cf import EMPTY_RANKING, NeighborSet, _plain_grid, predict, rank_candidates
 from contentcf.data import MovieProfile, RatingMatrix, build_matrix
 from contentcf.evaluation import (
     N_FOLDS,
@@ -27,7 +28,7 @@ from contentcf.evaluation import (
     split_folds,
 )
 from conftest import as_ratings, rating_triples
-from oracle import naive_evaluate, naive_item_weight
+from oracle import by_user, naive_evaluate, naive_item_weight, naive_predict, naive_rank
 
 
 def ratings_for_item(n, item_id=7):
@@ -94,8 +95,9 @@ def test_duplicate_pair_rejected_at_the_split(monkeypatch):
     with pytest.raises(ValueError, match=r"duplicate.*\(1, 10\)"):
         split_folds(rs, seed=1)
 
+    # pc predicts through the per-user kernel, never through rank_candidates.
     ranked = []
-    monkeypatch.setattr(evaluation, "rank_candidates", lambda *a, **kw: ranked.append(a))
+    monkeypatch.setattr(evaluation, "_plain_grid", lambda *a, **kw: ranked.append(a))
     with pytest.raises(ValueError, match=r"duplicate.*\(1, 10\)"):
         run_experiment(rs, RunConfig(method="pc", k_values=(2,), workers=1))
     assert ranked == []
@@ -173,6 +175,18 @@ class TestRunExperiment:
             assert r.predictions == exp_preds
             assert r.fallbacks == exp_fb
             assert r.skipped == exp_skip
+
+    @pytest.mark.parametrize("denominator", ["abs", "signed"])
+    def test_pc_rows_have_the_per_row_bits(self, denominator):
+        folds = split_folds(as_ratings(moderate_dataset()), seed=8)
+        held = np.flatnonzero(folds.fold == 0)
+        matrix = folds.matrix._masked(folds.fold != 0)
+        config = RunConfig(k_values=(30, 1, 5), denominator=denominator, min_sim=0.0)
+        rows = folds.matrix._entries(held)
+        got = evaluation._eval_ratings(matrix, None, config, rows)
+        expected = _per_row(matrix, rows, config)
+        assert _hex(got[0]) == _hex(expected[0])
+        assert [a.tolist() for a in got[1:]] == [a.tolist() for a in expected[1:]]
 
     def test_wpc_matches_protocol_oracle(self):
         triples = synthetic_dataset(seed=21)
@@ -491,6 +505,144 @@ def test_a_user_whose_rows_straddle_two_tasks_leaves_the_reports_alone(run_tasks
             for (f, a), (g, b) in zip(tasks, tasks[1:])
         ]
         assert any(straddles), straddles
+
+
+# -- pc's per-user kernel against the per-row path and the oracle -----------------
+
+
+def _per_row(matrix, rows, config):
+    """``_eval_ratings``' arrays for pc, one row at a time: ``rank_candidates``, then
+    ``NeighborSet(ranked[:k])`` and ``predict`` for each k."""
+    users, items, actuals = (col.tolist() for col in rows)
+    errors = np.zeros((len(config.k_values), len(users)))
+    fallbacks = np.zeros(errors.shape, dtype=bool)
+    predicted = np.zeros(len(users), dtype=bool)
+    for row, (u, i, actual) in enumerate(zip(users, items, actuals)):
+        if not matrix._ucount[u]:
+            continue
+        a, target = matrix.users[u], matrix.items[i]
+        ranked = EMPTY_RANKING
+        if matrix._icount[i]:
+            ranked = rank_candidates(a, target, matrix, min_sim=config.min_sim)
+        predicted[row] = True
+        for ki, k in enumerate(config.k_values):
+            ns = NeighborSet(target_item=target, active_user=a, neighbors=ranked[:k])
+            p = predict(a, target, ns, matrix, denominator=config.denominator)
+            errors[ki, row], fallbacks[ki, row] = abs(actual - p.value), p.fallback
+    return errors, fallbacks, predicted
+
+
+def _hex(array):
+    return [[x.hex() for x in row] for row in array.tolist()]
+
+
+k_grids = st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True)
+min_sims = st.none() | st.sampled_from([-1.0, 0.0, 0.2, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rating_triples(max_users=7, max_items=6, min_ratings=2),
+    st.sampled_from(["abs", "signed"]),
+    min_sims,
+    k_grids,
+    st.data(),
+)
+def test_plain_grid_has_the_per_row_and_oracle_bits(triples, denominator, min_sim, k_values, data):
+    """One user's targets, some unseen in training, predicted at once at every k of an
+    unsorted grid: the bits of predict over each ranking's head, and of the oracle."""
+    full = build_matrix(as_ratings(triples))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    assume(any(keep))
+    matrix = full._masked(np.array(keep))  # an item can lose every rating
+    train = [t for t, kept in zip(triples, keep) if kept]
+    aix = data.draw(st.sampled_from([u for u in range(len(full.users)) if matrix._ucount[u]]))
+    targets = data.draw(
+        st.lists(st.integers(0, len(full.items) - 1), min_size=1, unique=True)
+    )
+    _assert_plain_grid(matrix, train, aix, targets, tuple(k_values), denominator, min_sim)
+
+
+@pytest.mark.parametrize("denominator", ["abs", "signed"])
+def test_plain_grid_falls_back_on_zero_mass(denominator):
+    """User 1 against item 104: users 3 and 4 tie at exactly minus user 2's similarity,
+    so two neighbours' signed mass is 0.0. Item 105's only rater has similarity 0.0."""
+    triples = [(1, 101, 1), (1, 102, 3), (1, 103, 5)]
+    for u, values in [(2, (1, 3, 5, 4)), (3, (5, 3, 1, 2)), (4, (5, 3, 1, 2))]:
+        triples += [(u, 101 + j, v) for j, v in enumerate(values)]
+    triples += [(5, 101, 2), (5, 102, 4), (5, 103, 2), (5, 105, 5)]
+    matrix = build_matrix(as_ratings(triples))
+    targets = [matrix._item_index(104), matrix._item_index(105)]
+    fell = _assert_plain_grid(matrix, triples, 0, targets, (3, 1, 2), denominator, None)
+    assert fell.tolist() == [[False, True], [False, True], [denominator == "signed", True]]
+
+
+@pytest.mark.parametrize("denominator", ["abs", "signed"])
+def test_plain_grid_falls_back_below_den_eps(denominator):
+    """User 1's best rater of item 103 has a similarity of about 1.9e-17, not 0.0: its
+    mass is below _DEN_EPS, so k = 1 falls back, and k = 3 does not."""
+    triples = [(1, 101, 3), (1, 102, 3), (1, 104, 2), (2, 101, 3), (2, 102, 5), (2, 103, 4)]
+    triples += [(3, 101, 4), (3, 102, 2), (3, 104, 5), (4, 101, 4), (4, 102, 1), (4, 103, 2)]
+    triples += [(4, 104, 4), (5, 101, 1), (5, 102, 1), (5, 103, 3), (5, 104, 2), (6, 101, 4)]
+    triples += [(6, 102, 4), (6, 103, 2), (6, 104, 4)]
+    matrix = build_matrix(as_ratings(triples))
+    assert 0.0 < rank_candidates(1, 103, matrix)[0].value < 1e-9
+    targets = [matrix._item_index(103)]
+    fell = _assert_plain_grid(matrix, triples, 0, targets, (1, 3), denominator, None)
+    assert fell[:, 0].tolist() == [True, False]
+
+
+def _assert_plain_grid(matrix, train, aix, targets, k_values, denominator, min_sim):
+    """``_plain_grid`` for one user's targets has the bits of the per-row path and of the
+    oracle; returns its fallback flags."""
+    config = RunConfig(k_values=k_values, denominator=denominator, min_sim=min_sim)
+    got, fell = _plain_grid(matrix, aix, np.array(targets), k_values, denominator, min_sim)
+    n = len(targets)
+    rows = (np.full(n, aix), np.array(targets), np.zeros(n, dtype=np.int8))
+    errors, fallbacks, _ = _per_row(matrix, rows, config)  # |0 - p| is p
+    assert _hex(got) == _hex(errors) and fell.tolist() == fallbacks.tolist()
+
+    table, a = by_user(train), matrix.users[aix]
+    for ti, t in enumerate(targets):
+        ranked = naive_rank(table, a, matrix.items[t], min_sim=min_sim)
+        for ki, k in enumerate(k_values):
+            top = [(u, value) for u, _raw, _cf, value, _ov in ranked[:k]]
+            value, fallback = naive_predict(table, a, matrix.items[t], top, denominator)
+            assert (got[ki, ti].hex(), fell[ki, ti]) == (value.hex(), fallback)
+    return fell
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rating_triples(max_users=6, max_items=6, min_ratings=6),
+    st.sampled_from(["abs", "signed"]),
+    min_sims,
+    k_grids,
+    st.data(),
+)
+def test_pc_rows_cut_inside_a_user_give_the_per_row_bits(
+    triples, denominator, min_sim, k_values, data
+):
+    """A fold's pc rows cut into two tasks inside one user's rows: each task's arrays,
+    joined, are the per-row path's over the whole fold."""
+    folds = split_folds(as_ratings(triples), seed=data.draw(st.integers(0, 3)))
+    fold = data.draw(st.integers(0, N_FOLDS - 1))
+    held = np.flatnonzero(folds.fold == fold)
+    users = folds.matrix._entries(held)[0]
+    inside = np.flatnonzero(users[1:] == users[:-1]) + 1
+    assume(inside.size)
+    cut = data.draw(st.sampled_from(inside.tolist()))
+    matrix = folds.matrix._masked(folds.fold != fold)
+    config = RunConfig(k_values=tuple(k_values), denominator=denominator, min_sim=min_sim)
+    parts = [
+        evaluation._eval_ratings(matrix, None, config, folds.matrix._entries(task))
+        for task in (held[:cut], held[cut:])
+    ]
+    expected = _per_row(matrix, folds.matrix._entries(held), config)
+    errors, fallbacks, predicted = (np.concatenate(c, axis=-1) for c in zip(*parts))
+    assert _hex(errors) == _hex(expected[0])
+    assert fallbacks.tolist() == expected[1].tolist()
+    assert predicted.tolist() == expected[2].tolist()
 
 
 def moderate_dataset(seed=5):

@@ -1,5 +1,5 @@
 """The full 5-fold protocol on the benchmark's desk inputs, seed 0, reproduces the
-recorded grid digests bit for bit, under both methods.
+recorded grid digests bit for bit, under both methods, and pc also with two workers.
 
 The generator and the digest come from ``perfbench/`` itself, loaded by file
 path, so this guard and the benchmark cannot drift apart.
@@ -41,6 +41,16 @@ def desk_inputs(tmp_path_factory) -> Path:
 
 @pytest.mark.parametrize("method", ["pc", "wpc"])
 def test_full_protocol_matches_reference_digest(desk_inputs, method):
+    _check_digest(desk_inputs, method, workers=1)
+
+
+def test_pooled_pc_matches_reference_digest(desk_inputs):
+    """Two workers cut each fold into eight tasks, so some users' rows fall in two tasks
+    and reach pc's per-user kernel in two parts."""
+    _check_digest(desk_inputs, "pc", workers=2)
+
+
+def _check_digest(desk_inputs, method, workers):
     check = _load("check")
     expected = check.reference_digest(f"full-{method}", DATA_SEED)
     assert expected is not None
@@ -48,7 +58,7 @@ def test_full_protocol_matches_reference_digest(desk_inputs, method):
     profiles = (
         ingest.load_profiles(desk_inputs / "profiles.jsonl") if method == "wpc" else None
     )
-    config = RunConfig(method=method, k_values=K_GRID, seed=FOLD_SEED, workers=1)
+    config = RunConfig(method=method, k_values=K_GRID, seed=FOLD_SEED, workers=workers)
     reports = run_experiment(ratings, config, profiles=profiles)
     grid = [
         {
