@@ -53,7 +53,7 @@ from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
-from .data import ItemId, RatingMatrix, UserId, check_choice, index_dtype
+from .data import ItemId, RatingMatrix, UserId, _is_int, check_choice, index_dtype
 from .weighting import WeightVector
 
 Denominator = Literal["abs", "signed"]
@@ -481,8 +481,8 @@ def select_neighbors(
     min_sim: float | None = None,
 ) -> NeighborSet:
     """Top-k most similar raters of the target item."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not (_is_int(k) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     ranked = rank_candidates(a, target, matrix, weights=weights, min_sim=min_sim)
     return NeighborSet(target_item=target, active_user=a, neighbors=ranked[:k])
 

@@ -52,9 +52,14 @@ def check_choice(name: str, value: object, allowed: tuple) -> None:
         raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_id(name: str, i: object) -> None:
-    """Reject an id that is neither a Python or numpy integer (bool is not one) nor a str."""
-    if not isinstance(i, (int, np.integer, str)) or isinstance(i, bool):
+    """Reject an id that is neither an integer (``_is_int``) nor a str."""
+    if not (_is_int(i) or isinstance(i, str)):
         raise ValueError(f"{name} id must be an integer or a string, got {i!r}")
 
 
@@ -70,7 +75,7 @@ class Rating:
     def __post_init__(self) -> None:
         _check_id("user", self.user_id)
         _check_id("item", self.item_id)
-        if not isinstance(self.value, (int, np.integer)) or isinstance(self.value, bool):
+        if not _is_int(self.value):
             raise ValueError(f"rating value must be an integer, got {self.value!r}")
         if not RATING_MIN <= self.value <= RATING_MAX:
             raise ValueError(
@@ -215,9 +220,11 @@ class MovieProfile:
     source: ProfileSource = ProfileSource.DATASET
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "genres", frozenset(self.genres))
-        object.__setattr__(self, "directors", frozenset(self.directors))
-        object.__setattr__(self, "actors", frozenset(self.actors))
+        for name in ("genres", "directors", "actors"):
+            labels = getattr(self, name)
+            if isinstance(labels, (str, bytes)):  # a set of its characters is no label set
+                raise ValueError(f"movie {self.item_id!r} gives its {name} as one string {labels!r}")
+            object.__setattr__(self, name, frozenset(labels))
         # Override records may arrive genre-less; assembly fills genres from the
         # dataset, which always supplies at least one.
         if not self.genres and self.source is not ProfileSource.OVERRIDE:
@@ -270,6 +277,12 @@ class RatingMatrix:
             ratings = RatingColumns.from_ratings(ratings)
         if not ratings:
             raise ValueError("cannot build a rating matrix from an empty rating set")
+        for name, ids in (("user", ratings.user_ids), ("item", ratings.item_ids)):
+            kinds = {isinstance(i, str): i for i in ids.tolist()} if ids.dtype.kind == "O" else {}
+            if len(kinds) > 1:  # np.unique cannot sort them
+                raise ValueError(
+                    f"{name} ids mix integers and strings, e.g. {kinds[False]!r} and {kinds[True]!r}"
+                )
         users, u_idx = _encode(ratings.user_ids)
         items, i_idx = _encode(ratings.item_ids)
         # A stable sort on one (user, item) key gives lexsort's permutation,

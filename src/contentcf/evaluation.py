@@ -11,10 +11,10 @@ order, in one task list (fold, chunk) per run, 4 even chunks per fold and
 worker, served in-process or by one worker pool. Each process builds a fold's
 training matrix on its first task of that fold: the run's matrix with the fold
 masked out, in its index space, where an id left without a training entry is
-absent by its zero count. A task's pc rows are evaluated one user at a time, in
-array passes over all of the user's targets and the whole k grid; wpc rows one
-at a time, a ranking each and a prediction per k. Results are reduced in task
-order, so reports are identical for any worker count.
+absent by its zero count. A task's rows are evaluated one user at a time, all
+of the user's targets across the whole k grid: pc in array passes, wpc with a
+ranking per row and a prediction per k. Results are reduced in task order, so
+reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .data import (
     Rating,
     RatingMatrix,
     UserId,
+    _is_int,
     build_matrix,
     check_choice,
     usable_cpus,
@@ -56,11 +57,6 @@ Method = Literal["pc", "wpc"]
 # Domain separators so the fold and sampling RNG streams never collide.
 _FOLD_STREAM = 0x0F01D
 _SAMPLE_STREAM = 0x5A3D7
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; bool is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _entropy_int(value) -> int:
@@ -144,11 +140,15 @@ class RunConfig:
         check_choice("method", self.method, get_args(Method))
         check_choice("k0_branch", self.k0_branch, get_args(K0Branch))
         check_choice("denominator", self.denominator, get_args(Denominator))
-        if not self.k_values:
+        try:
+            k_values = tuple(self.k_values)
+        except TypeError:
+            raise ValueError(f"k_values must be a sequence, got {self.k_values!r}") from None
+        if not k_values:
             raise ValueError("k_values must be non-empty")
-        if not all(_is_int(k) and k >= 1 for k in self.k_values):
+        if not all(_is_int(k) and k >= 1 for k in k_values):
             raise ValueError(f"every k must be an integer >= 1, got {self.k_values!r}")
-        k_values = tuple(int(k) for k in self.k_values)
+        k_values = tuple(map(int, k_values))
         if len(set(k_values)) != len(k_values):
             raise ValueError(f"k_values must not repeat a value, got {k_values!r}")
         object.__setattr__(self, "k_values", k_values)
@@ -212,7 +212,7 @@ def _fold_evaluator(folds: FoldAssignment, calculator, config: RunConfig):
 
 def _eval_ratings(matrix: RatingMatrix, calculator: WeightCalculator | None, config, rows):
     """Predict a batch of held-out ratings: (user index, item index, value)
-    arrays in the matrix's index space.
+    arrays in the matrix's index space, one user's rows at a time.
 
     Returns arrays aligned to the rows: |error| per k, fallback flag per k,
     and whether the row was predicted. A skipped row (user absent from
@@ -221,46 +221,39 @@ def _eval_ratings(matrix: RatingMatrix, calculator: WeightCalculator | None, con
     errors = np.zeros((len(config.k_values), rows[0].size))
     fallbacks = np.zeros(errors.shape, dtype=bool)
     predicted = np.zeros(rows[0].size, dtype=bool)
+    grid = _plain_grid if calculator is None else functools.partial(_weighted_grid, calculator)
+    users, items, actuals = rows
+    cuts = (np.flatnonzero(np.diff(users)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, users.size]):
+        u = int(users[lo])
+        if matrix._ucount[u]:
+            predictions, fallbacks[:, lo:hi] = grid(
+                matrix, u, items[lo:hi], config.k_values, config.denominator, config.min_sim
+            )
+            errors[:, lo:hi] = np.abs(actuals[lo:hi] - predictions)
+            predicted[lo:hi] = True
+    return errors, fallbacks, predicted
 
-    if calculator is None:  # pc: each user's rows at once, across the k grid
-        users, items, actuals = rows
-        cuts = (np.flatnonzero(np.diff(users)) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, users.size]):
-            u = int(users[lo])
-            if matrix._ucount[u]:
-                predictions, fallbacks[:, lo:hi] = _plain_grid(
-                    matrix, u, items[lo:hi], config.k_values, config.denominator, config.min_sim
-                )
-                errors[:, lo:hi] = np.abs(actuals[lo:hi] - predictions)
-                predicted[lo:hi] = True
-        return errors, fallbacks, predicted
 
-    users, items, actuals = (col.tolist() for col in rows)
-    current_user, user_items = -1, []
-    for row, (u, i, actual) in enumerate(zip(users, items, actuals)):
-        if not matrix._ucount[u]:
-            continue
-        user_id, item_id = matrix.users[u], matrix.items[i]
-        if u != current_user:
-            current_user = u
-            user_row, _ = matrix._user_row(u)
-            user_items = list(map(matrix.items.__getitem__, user_row.tolist()))
-
-        ranked = EMPTY_RANKING
+# Not in cf: it calls this module's rank_candidates and predict, the per-row API perfbench traces.
+def _weighted_grid(calculator, matrix, aix, targets, k_values, denominator, min_sim):
+    """Weighted predictions of user ``aix`` for item indices ``targets`` at every k, and
+    their fallback flags, each shaped (k, target) as ``_plain_grid``'s: one ranking per
+    target seen in training, then one ``predict`` per (target, k)."""
+    user_id = matrix.users[aix]
+    user_items = list(map(matrix.items.__getitem__, matrix._user_row(aix)[0].tolist()))
+    values = np.empty((len(k_values), targets.size))
+    fell = np.empty(values.shape, dtype=bool)
+    for t, i in enumerate(targets.tolist()):
+        item_id, ranked = matrix.items[i], EMPTY_RANKING
         if matrix._icount[i]:
             weights = calculator.weights_for(item_id, user_items)
-            ranked = rank_candidates(
-                user_id, item_id, matrix, weights=weights, min_sim=config.min_sim
-            )
-
-        predicted[row] = True
-        for ki, k in enumerate(config.k_values):
+            ranked = rank_candidates(user_id, item_id, matrix, weights=weights, min_sim=min_sim)
+        for ki, k in enumerate(k_values):
             ns = NeighborSet(target_item=item_id, active_user=user_id, neighbors=ranked[:k])
-            p = predict(user_id, item_id, ns, matrix, denominator=config.denominator)
-            errors[ki, row] = abs(actual - p.value)
-            fallbacks[ki, row] = p.fallback
-
-    return errors, fallbacks, predicted
+            p = predict(user_id, item_id, ns, matrix, denominator=denominator)
+            values[ki, t], fell[ki, t] = p.value, p.fallback
+    return values, fell
 
 
 def run_experiment(

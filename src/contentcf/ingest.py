@@ -618,7 +618,7 @@ def assemble_profiles(
         profiles[item_id] = MovieProfile(
             item_id=item_id,
             title=title,
-            genres=frozenset(genres),
+            genres=genres,
             directors=directors,
             actors=actors,
             source=source,

@@ -161,6 +161,17 @@ class TestSelectNeighbors:
         with pytest.raises(ValueError):
             select_neighbors(1, 10, m, k=0)
 
+    @pytest.mark.parametrize("k", [True, 2.5, "2"])
+    def test_k_must_be_an_integer(self, toy_ratings, k):
+        # True would slice as 1, and 2.5 would fail inside the slice with a TypeError.
+        m = build_matrix(toy_ratings)
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            select_neighbors(1, 10, m, k=k)
+
+    def test_numpy_integer_k_accepted(self, toy_ratings):
+        m = build_matrix(toy_ratings)
+        assert select_neighbors(1, 10, m, k=np.int64(1)) == select_neighbors(1, 10, m, k=1)
+
     def test_ten_user_synthetic_matches_exhaustive_sort(self):
         rng = np.random.default_rng(12345)
         triples = []

@@ -73,6 +73,15 @@ class TestBuildMatrix:
         with pytest.raises(ValueError, match="empty"):
             build_matrix([])
 
+    @pytest.mark.parametrize("name", ["user", "item"])
+    @pytest.mark.parametrize("other", ["a", "1"])
+    def test_integer_and_string_ids_in_one_column_rejected(self, name, other):
+        # numpy cannot sort them; the error names the column and one id of each type.
+        pairs = [(1, 1), (other, 1)] if name == "user" else [(1, 1), (1, other)]
+        message = f"{name} ids mix integers and strings, e.g. 1 and {other!r}"
+        with pytest.raises(ValueError, match=message):
+            build_matrix([Rating(u, i, 4) for u, i in pairs])
+
     def test_lookup(self, toy_ratings):
         m = build_matrix(toy_ratings)
         assert m.rating(1, 10) == 4.0
@@ -532,6 +541,14 @@ class TestMovieProfile:
     def test_too_many_genres_rejected(self):
         with pytest.raises(ValueError, match="genres"):
             MovieProfile(item_id=1, title="x", genres={f"g{i}" for i in range(20)})
+
+    @pytest.mark.parametrize("field", ["genres", "directors", "actors"])
+    @pytest.mark.parametrize("labels", ["Drama", b"Drama"], ids=["str", "bytes"])
+    def test_a_label_field_given_as_one_string_rejected(self, field, labels):
+        # Else its characters would become labels: {'D', 'r', 'a', 'm'}.
+        fields = {"genres": {"Comedy"}, field: labels}
+        with pytest.raises(ValueError, match=f"movie 7 gives its {field} as one string"):
+            MovieProfile(item_id=7, title="x", **fields)
 
     def test_feature_count(self):
         p = MovieProfile(

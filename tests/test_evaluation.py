@@ -27,6 +27,7 @@ from contentcf.evaluation import (
     run_experiment,
     split_folds,
 )
+from contentcf.weighting import WeightCalculator
 from conftest import as_ratings, rating_triples
 from oracle import by_user, naive_evaluate, naive_item_weight, naive_predict, naive_rank
 
@@ -187,6 +188,23 @@ class TestRunExperiment:
         expected = _per_row(matrix, rows, config)
         assert _hex(got[0]) == _hex(expected[0])
         assert [a.tolist() for a in got[1:]] == [a.tolist() for a in expected[1:]]
+
+    @pytest.mark.parametrize("denominator", ["abs", "signed"])
+    def test_wpc_rows_have_the_per_row_bits(self, denominator):
+        """Exact ties, an unsorted k grid, min_sim 0.0, and the held-out rows of an item
+        whose training ratings are masked out too: the bits of the per-row path."""
+        folds = split_folds(as_ratings(moderate_dataset()), seed=8)
+        held = np.flatnonzero(folds.fold == 0)
+        matrix = folds.matrix._masked((folds.fold != 0) & (folds.matrix._uitems != 0))
+        rows = folds.matrix._entries(held)
+        assert matrix._icount[0] == 0 and (rows[1] == 0).any()
+        calculator = WeightCalculator(StoreStub(moderate_profiles()))  # every item's profile
+        config = RunConfig(k_values=(30, 1, 5), denominator=denominator, min_sim=0.0)
+        got = evaluation._eval_ratings(matrix, calculator, config, rows)
+        expected = _per_row(matrix, rows, config, calculator)
+        assert _hex(got[0]) == _hex(expected[0])
+        assert [a.tolist() for a in got[1:]] == [a.tolist() for a in expected[1:]]
+        assert got[1][:, rows[1] == 0].all()  # the unseen item falls back at every k
 
     def test_wpc_matches_protocol_oracle(self):
         triples = synthetic_dataset(seed=21)
@@ -507,12 +525,13 @@ def test_a_user_whose_rows_straddle_two_tasks_leaves_the_reports_alone(run_tasks
         assert any(straddles), straddles
 
 
-# -- pc's per-user kernel against the per-row path and the oracle -----------------
+# -- the per-user steps against the per-row path and the oracle -------------------
 
 
-def _per_row(matrix, rows, config):
-    """``_eval_ratings``' arrays for pc, one row at a time: ``rank_candidates``, then
-    ``NeighborSet(ranked[:k])`` and ``predict`` for each k."""
+def _per_row(matrix, rows, config, calculator=None):
+    """``_eval_ratings``' arrays one row at a time: ``rank_candidates`` (for wpc, over the
+    calculator's weights of the user's training items), then ``NeighborSet(ranked[:k])``
+    and ``predict`` for each k."""
     users, items, actuals = (col.tolist() for col in rows)
     errors = np.zeros((len(config.k_values), len(users)))
     fallbacks = np.zeros(errors.shape, dtype=bool)
@@ -523,7 +542,11 @@ def _per_row(matrix, rows, config):
         a, target = matrix.users[u], matrix.items[i]
         ranked = EMPTY_RANKING
         if matrix._icount[i]:
-            ranked = rank_candidates(a, target, matrix, min_sim=config.min_sim)
+            weights = None
+            if calculator is not None:
+                user_items = [matrix.items[j] for j in matrix._user_row(u)[0].tolist()]
+                weights = calculator.weights_for(target, user_items)
+            ranked = rank_candidates(a, target, matrix, weights=weights, min_sim=config.min_sim)
         predicted[row] = True
         for ki, k in enumerate(config.k_values):
             ns = NeighborSet(target_item=target, active_user=a, neighbors=ranked[:k])
@@ -612,19 +635,36 @@ def _assert_plain_grid(matrix, train, aix, targets, k_values, denominator, min_s
     return fell
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+cut_examples = given(
     rating_triples(max_users=6, max_items=6, min_ratings=6),
     st.sampled_from(["abs", "signed"]),
     min_sims,
     k_grids,
     st.data(),
 )
+
+
+@settings(max_examples=150, deadline=None)
+@cut_examples
 def test_pc_rows_cut_inside_a_user_give_the_per_row_bits(
     triples, denominator, min_sim, k_values, data
 ):
     """A fold's pc rows cut into two tasks inside one user's rows: each task's arrays,
     joined, are the per-row path's over the whole fold."""
+    _assert_cut_rows(None, triples, denominator, min_sim, k_values, data)
+
+
+@settings(max_examples=100, deadline=None)
+@cut_examples
+def test_wpc_rows_cut_inside_a_user_give_the_per_row_bits(
+    triples, denominator, min_sim, k_values, data
+):
+    """The same for wpc rows, weighted over a profile of every item."""
+    calculator = WeightCalculator(StoreStub(synthetic_profiles()))
+    _assert_cut_rows(calculator, triples, denominator, min_sim, k_values, data)
+
+
+def _assert_cut_rows(calculator, triples, denominator, min_sim, k_values, data):
     folds = split_folds(as_ratings(triples), seed=data.draw(st.integers(0, 3)))
     fold = data.draw(st.integers(0, N_FOLDS - 1))
     held = np.flatnonzero(folds.fold == fold)
@@ -635,10 +675,10 @@ def test_pc_rows_cut_inside_a_user_give_the_per_row_bits(
     matrix = folds.matrix._masked(folds.fold != fold)
     config = RunConfig(k_values=tuple(k_values), denominator=denominator, min_sim=min_sim)
     parts = [
-        evaluation._eval_ratings(matrix, None, config, folds.matrix._entries(task))
+        evaluation._eval_ratings(matrix, calculator, config, folds.matrix._entries(task))
         for task in (held[:cut], held[cut:])
     ]
-    expected = _per_row(matrix, folds.matrix._entries(held), config)
+    expected = _per_row(matrix, folds.matrix._entries(held), config, calculator)
     errors, fallbacks, predicted = (np.concatenate(c, axis=-1) for c in zip(*parts))
     assert _hex(errors) == _hex(expected[0])
     assert fallbacks.tolist() == expected[1].tolist()
@@ -798,6 +838,9 @@ class TestRunConfig:
             {"seed": 1.5},
             {"min_sim": True},
             {"min_sim": "0.5"},
+            {"k_values": 5},
+            {"k_values": None},
+            {"k_values": "5"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -813,6 +856,11 @@ class TestRunConfig:
             min_sim=np.float32(0.25),
         )
         assert cfg.k_values == (5, 7)
+        assert all(type(k) is int for k in cfg.k_values)
+
+    def test_numpy_array_of_k_accepted(self):
+        cfg = RunConfig(k_values=np.array([10, 5]))
+        assert cfg.k_values == (10, 5)
         assert all(type(k) is int for k in cfg.k_values)
 
 

@@ -1075,6 +1075,11 @@ class TestAssembleProfiles:
         unlimited = assemble_profiles(self.MOVIES, fetched=fetched)
         assert len(unlimited.get(1).actors) == 9  # all starring actors kept
 
+    def test_genres_given_as_one_string_rejected(self):
+        # ("Drama") is the string "Drama", not a one-genre tuple: no genre "D", "r", ...
+        with pytest.raises(ValueError, match="movie 1 gives its genres as one string 'Drama'"):
+            assemble_profiles({1: ("A", "Drama")})
+
 
 class TestPersistence:
     def _store(self):
