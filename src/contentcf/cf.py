@@ -8,24 +8,24 @@ small. Neighbors are drawn only from users who rated the target item.
 One kernel, ``_correlate``, sums co-rated deviations per rater for every
 caller, over (item slot, rater, value) entries. ``_gather`` joins the raters
 of the active user's item columns, whatever the target, with a 16-bit item
-slot per entry; the unweighted scores sweep every entry of it. A weighted
-ranking, ``pearson`` and ``weighted_pearson`` keep the entries of their
+slot per entry; pc's per-user kernel sweeps every entry of it. A ranking of
+either method, ``pearson`` and ``weighted_pearson`` keep the entries of their
 candidates (the target's raters, or the other user) from one of two scans,
 chosen rent-or-buy: the candidates' rows (``_rater_rows``) while the rows
 scanned for the user so far hold fewer entries than its item columns, then
-the gather, built once. ``_sweep`` computes deviations and weights for the
-kept entries alone. Every scan lists each rater's entries in ascending item
-order, so each rater's sums have the same bits. A user's scan state (its
-widened row and column-entry total, read-only gather and unweighted scores,
-the row entries it scanned and its item-to-slot table) is one ``_Scan``
-record; ``_scan`` keeps each live matrix's last one, weakly keyed, so a freed
-matrix takes its record with it. A ranking or a pair looks its record up once
-and hands it to ``_gather`` or ``_rater_rows``; the kept entries
-(``_Entries``) carry it to the sweep, which reads the user's index and row
-from it. The matrix stores indices narrow (see ``data``); a user's row and an
-item's column come widened to intp, and an index array joined from the
-matrix's own (the gather's raters, a rows scan's items) is widened once,
-before it indexes anything.
+the gather, built once. ``_sweep`` computes deviations, and weights if given,
+for the kept entries alone. Every scan lists each rater's entries in
+ascending item order, so each rater's sums have the same bits. A user's scan
+state (its widened row and column-entry total, read-only gather, the row
+entries it scanned and its item-to-slot table) is one ``_Scan`` record;
+``_scan`` keeps each live matrix's last one, weakly keyed, so a freed matrix
+takes its record with it. A ranking or a pair looks its record up once and
+hands it to ``_gather`` or ``_rater_rows``; the kept entries (``_Entries``)
+carry it to the sweep, which reads the user's index and row from it. The
+matrix stores indices narrow (see ``data``); a user's row and an item's
+column come widened to intp, and an index array joined from the matrix's own
+(the gather's raters, a rows scan's items) is widened once, before it
+indexes anything.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -37,10 +37,11 @@ same sums. Each running sum starts from an exact +0.0 and ``np.cumsum``
 adds in sequence, so column n has the bits of the left-to-right loop
 ``s = 0.0; s += term`` over the first n terms.
 
-``_plain_grid`` is the evaluation's pc path: one user's T targets at once. Their
-columns are joined with a target slot, ranked by the rule ``rank_candidates`` uses
-(``_ranked``) with the slot as first key, and summed zero-padded to one width, so
-every (k, target) prediction has the bits of ``predict`` over that ranking's head.
+``_plain_grid``, pc's per-user kernel, is the evaluation's pc path: one user's T
+targets at once, scored by one sweep of the user's whole gather. Their columns are
+joined with a target slot, ranked by the rule ``rank_candidates`` uses (``_ranked``)
+with the slot as first key, and summed zero-padded to one width, so every (k, target)
+prediction has the bits of ``predict`` over that ranking's head.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
-from .data import ItemId, RatingMatrix, UserId, _is_int, check_choice, index_dtype
+from .data import ItemId, RatingMatrix, UserId, _check_min_sim, _is_int, check_choice, index_dtype
 from .weighting import WeightVector
 
 Denominator = Literal["abs", "signed"]
@@ -191,7 +192,6 @@ class _Scan:
     users: np.ndarray | None = None  # each entry's rater, widened to intp once at build
     rows: int = 0  # the candidates' row entries scanned before the gather was built
     slot_of: np.ndarray | None = None  # per item of the matrix: its slot, or the row's length
-    plain: tuple[np.ndarray, ...] | None = None  # the unweighted scores
 
 
 _scans: weakref.WeakKeyDictionary[RatingMatrix, _Scan] = weakref.WeakKeyDictionary()
@@ -276,17 +276,6 @@ def _sweep(
         w_row[used] = weights.row(list(map(matrix.items.__getitem__, items_a[used].tolist())))
         w = w_row[slot]
     return _correlate(users, len(matrix.users), dev_a, dev_u, w)
-
-
-def _plain_scores(matrix: RatingMatrix, uix: int) -> tuple[np.ndarray, ...]:
-    """Unweighted (raw, cf, value, overlap) of ``uix`` against every user, over every entry
-    of its gather."""
-    scan = _gather(matrix, _scan(matrix, uix))
-    if scan.plain is None:
-        slot = scan.slot.astype(np.intp)
-        vals = matrix._ivals[np.arange(slot.size) + scan.offset[slot]]
-        scan.plain = _frozen(_sweep(matrix, _Entries(scan, slot, scan.users, vals)))
-    return scan.plain
 
 
 # -- the ranking and its running sums ------------------------------------------
@@ -388,6 +377,7 @@ def rank_candidates(
 ) -> Ranking:
     """All raters of the target (minus the active user, minus zero-overlap
     candidates), sorted by damped similarity descending, ties by user id."""
+    _check_min_sim(min_sim)
     aix = matrix._user_index(a)
     if not matrix.has_item(target):
         return EMPTY_RANKING
@@ -397,13 +387,9 @@ def rank_candidates(
     if cand.size == 0:
         return EMPTY_RANKING
 
-    if weights is None:
-        raw, cf, value, overlap = _plain_scores(matrix, aix)
-    else:
+    if weights is not None:
         _check_target(weights, target)
-        entries = _candidate_entries(matrix, aix, cand)
-        raw, cf, value, overlap = _sweep(matrix, entries, weights)
-
+    raw, cf, value, overlap = _sweep(matrix, _candidate_entries(matrix, aix, cand), weights)
     ranked = _ranked(cand, value, overlap, min_sim)
     if ranked.size == 0:
         return EMPTY_RANKING
@@ -429,7 +415,10 @@ def _plain_grid(matrix, aix, targets, k_values, denominator, min_sim):
     """Unweighted predictions of user ``aix`` for item indices ``targets`` at every k, and
     their fallback flags, each shaped (k, target): ``rank_candidates`` then ``predict`` per
     (target, k), with the same float operations, in array passes over all the targets."""
-    _, _, value, overlap = _plain_scores(matrix, aix)
+    scan = _gather(matrix, _scan(matrix, aix))  # unweighted scores over the whole gather
+    item_slot = scan.slot.astype(np.intp)
+    vals = matrix._ivals[np.arange(item_slot.size) + scan.offset[item_slot]]
+    _, _, value, overlap = _sweep(matrix, _Entries(scan, item_slot, scan.users, vals))
     targets = np.asarray(targets, dtype=np.intp)
     counts = matrix._iptr[targets + 1] - matrix._iptr[targets]
     slot = np.repeat(np.arange(targets.size), counts)  # each entry's target

@@ -28,10 +28,10 @@ ENDPOINT_ENV_VAR = "CONTENTCF_SPARQL_ENDPOINT"
 DEFAULT_ENDPOINT = "https://dbpedia.org/sparql"
 
 
-def _read_config_file(path: str, keys: tuple[str, ...]) -> dict[str, object]:
-    """Parse `key=value` lines; '#' starts a comment, blank lines are ignored.
-    Each of ``keys``, the ones the command reads, may appear once; any other key is an error.
-    Each value is parsed as its flag's is, so a bad one fails with its line."""
+def _read_config_file(path: str, keys: tuple[str, ...], flags: dict) -> dict[str, object]:
+    """Parse `key=value` lines; '#' starts a comment, blank lines are ignored. Each of ``keys``,
+    the ones the command reads, may appear once; any other key is an error. Each value takes
+    its flag's (``flags[key]``) type, then choices, so a bad one fails with its line."""
     values: dict[str, object] = {}
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -49,8 +49,11 @@ def _read_config_file(path: str, keys: tuple[str, ...]) -> dict[str, object]:
                     f"{path}: line {lineno}: {key!r} given again (first on line {first_line[key]})"
                 )
             first_line[key] = lineno
+            action = flags[key]
             try:
-                values[key] = _PARSERS.get(key, str)(value)
+                values[key] = parsed = value if action.type is None else action.type(value)
+                if action.choices is not None and parsed not in action.choices:
+                    raise ValueError(f"invalid choice {parsed!r}; expected one of {action.choices}")
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}: line {lineno}: bad value for {key!r}: {exc}") from None
     return values
@@ -63,8 +66,6 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad k list {text!r}; expected e.g. 5,10,20") from None
 
 
-# The parser of each config-file value that is not text, as its flag's type.
-_PARSERS = {"k": _parse_k_list, "min-sim": float, "seed": int, "sample-test": int, "workers": int}
 _RUN_KEYS = (
     "data-dir", "ratings", "profiles", "method", "k", "k0-branch", "denominator", "min-sim",
 )
@@ -264,7 +265,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = (parser := build_parser()).parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,
@@ -272,7 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if args.config:
-            _apply_config(args, _read_config_file(args.config, _CONFIG_KEYS[args.command]))
+            (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            flags = {o[2:]: a for a in sub.choices[args.command]._actions for o in a.option_strings}
+            _apply_config(args, _read_config_file(args.config, _CONFIG_KEYS[args.command], flags))
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
         logger.error("%s", exc)

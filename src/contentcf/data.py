@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import numbers
 import operator
 import os
 from collections.abc import Sequence
@@ -55,6 +57,13 @@ def check_choice(name: str, value: object, allowed: tuple) -> None:
 def _is_int(value) -> bool:
     """A Python or numpy integer; bool is not a count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_min_sim(min_sim) -> None:
+    """Reject a similarity floor that is neither None nor a finite real number, a bool included."""
+    real = isinstance(min_sim, numbers.Real) and not isinstance(min_sim, bool)
+    if min_sim is not None and not (real and math.isfinite(min_sim)):
+        raise ValueError(f"min_sim must be a finite number, got {min_sim!r}")
 
 
 def _check_id(name: str, i: object) -> None:

@@ -24,9 +24,7 @@ import functools
 import io
 import itertools
 import logging
-import math
 import multiprocessing
-import numbers
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -41,6 +39,7 @@ from .data import (
     Rating,
     RatingMatrix,
     UserId,
+    _check_min_sim,
     _is_int,
     build_matrix,
     check_choice,
@@ -98,6 +97,8 @@ def split_folds(ratings: Iterable[Rating], seed: int) -> FoldAssignment:
     per-item fold counts differ by at most one and the assignment depends
     only on the rating set and the seed, never on input order.
     """
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     matrix = build_matrix(ratings)
     fold = np.empty(matrix.n_ratings, dtype=np.int8)
     # The stable item-major order lists each item's raters in ascending user order.
@@ -154,9 +155,7 @@ class RunConfig:
         object.__setattr__(self, "k_values", k_values)
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        real = isinstance(self.min_sim, numbers.Real) and not isinstance(self.min_sim, bool)
-        if self.min_sim is not None and not (real and math.isfinite(self.min_sim)):
-            raise ValueError(f"min_sim must be a finite number, got {self.min_sim!r}")
+        _check_min_sim(self.min_sim)
         for name in ("sample_test", "workers"):
             value = getattr(self, name)
             if value is not None and not (_is_int(value) and value >= 1):

@@ -325,8 +325,9 @@ class TestGatherMemo:
                 assert fn() == expected[key], key
 
     def test_a_record_changes_sides_mid_sequence(self):
-        # One user's pair calls come first: each adds a row to its record, so the
-        # record scans rows, then builds its gather, and every later call reads it.
+        # One user's pair calls come first: each call of either method adds its
+        # candidates' rows to the user's record, so the record scans rows, then
+        # builds its gather, and every later call reads it.
         calls = self._calls()
         expected = {key: self._cold(fn) for key, fn in calls}
         block = sorted((c for c in calls if c[0][:2] == (0, 1)), key=lambda c: len(c[0]) == 4)
@@ -336,8 +337,7 @@ class TestGatherMemo:
             for key, fn in block:
                 with mock.patch.object(cf, "_rater_rows", wraps=cf._rater_rows) as rows:
                     assert fn() == expected[key], key
-                if key[3] != "pc":  # the unweighted scores never scan rows
-                    sides.append("rows" if rows.call_count else "gather")
+                sides.append("rows" if rows.call_count else "gather")
         assert built.call_count == 1
         n_rows = sides.count("rows")
         assert 0 < n_rows < len(sides)
@@ -496,7 +496,6 @@ class TestGatherReadOnly:
             pearson(1, 3, m)
             weighted_pearson(1, 3, 0, m, wv)
             assert cf._scan(m, 0) is g and cf._gather(m, cf._scan(m, 0)) is g
-            assert all(not arr.flags.writeable for arr in g.plain)
             assert built.call_count == 1
             assert cf._gather(twin, cf._scan(twin, 0)) is not g
             assert cf._gather(m, cf._scan(m, 1)) is not g
@@ -522,8 +521,19 @@ class TestGatherReadOnly:
 
 
 class TestScanRule:
-    """Rent or buy: a user's weighted calls scan the candidates' rows while the rows
-    scanned so far hold fewer entries than its item columns, then build one gather."""
+    """Rent or buy: a user's calls scan the candidates' rows while the rows scanned so
+    far hold fewer entries than its item columns, then build one gather."""
+
+    def test_a_cold_pc_ranking_scans_rows_and_builds_no_gather(self):
+        # User 1's item columns hold 9 entries, target 5's raters' rows 6.
+        triples = TestWeightedRankingCases.TRIPLES
+        m = build_matrix(as_ratings(triples))
+        cf._scans.clear()
+        with mock.patch.object(cf, "_gather", side_effect=AssertionError("gather built")):
+            ranked = rank_candidates(1, 5, m)
+        assert _bits(_as_rows(ranked)) == _bits(naive_rank(by_user(triples), 1, 5))
+        scan = cf._scan(m, m._user_index(1))
+        assert (scan.rows, scan.users) == (6, None)
 
     def test_rows_are_scanned_while_cumulative_rows_are_below_columns(self):
         # User 1's item columns hold 9 entries. Target 5's raters' rows hold 6, and
@@ -566,6 +576,22 @@ class TestScanRule:
             assert [s.user_id for s in ranked] == [3]
             assert cf._scan(m, m._user_index(1)).rows == 9
         assert built.call_count == 1
+
+
+@pytest.mark.parametrize("min_sim", [float("nan"), float("inf"), -float("inf"), "0.1", True])
+def test_rankings_reject_a_min_sim_that_is_no_finite_number(min_sim):
+    # NaN would drop every candidate, and so make every prediction fall back.
+    m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
+    wv = WeightVector(5, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
+    calls = [
+        partial(rank_candidates, 1, 5, m),
+        partial(rank_candidates, 1, 5, m, weights=wv),
+        partial(rank_candidates, 1, 99, m),  # a target without raters
+        partial(select_neighbors, 1, 5, m, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="min_sim must be a finite number"):
+            call(min_sim=min_sim)
 
 
 # -- the cold scans: rater rows, cold gather, warm gather -----------------------
@@ -635,10 +661,10 @@ def _ranked_on(scan, m, a, target, wv, min_sim=None):
 def _check_every_scan(triples, a, target, weights, min_sim=None):
     """Every scan ranks with the oracle's bits and scores every candidate with
     the three-array gather's bits; repeated from cold, a ranking scans rows
-    until they add up to the user's columns, then one gather. Returns the
-    oracle's ranking."""
+    until they add up to the user's columns, then one gather. ``weights=None``
+    checks pc rankings. Returns the oracle's ranking."""
     m = build_matrix(as_ratings(triples))
-    wv = WeightVector(target, weights, max_feature_count=10)
+    wv = None if weights is None else WeightVector(target, weights, max_feature_count=10)
     expected = _bits(naive_rank(by_user(triples), a, target, weights, min_sim))
     for scan in SCANS:
         assert _ranked_on(scan, m, a, target, wv, min_sim) == expected, scan
@@ -648,7 +674,8 @@ def _check_every_scan(triples, a, target, weights, min_sim=None):
     cand = np.array([m._user_index(u) for u in raters], dtype=np.int64)
     if cand.size == 0:  # rank_candidates returns before any scan
         return expected
-    old = _three_array_scores(m, aix, cand, wv)
+    # A weight of 1.0 leaves every deviation's bits as they are.
+    old = _three_array_scores(m, aix, cand, wv or uniform_weights(m, target))
     cf._scans.clear()
     rater_rows = cf._rater_rows(m, cf._scan(m, aix), cand)
     cf._gather(m, cf._scan(m, aix))
@@ -688,8 +715,11 @@ def _check_every_scan(triples, a, target, weights, min_sim=None):
     st.data(),
 )
 def test_every_scan_has_the_oracle_and_three_array_bits(triples, a, target, min_sim, data):
+    """Of either method: a draw of no weights checks a pc ranking."""
     assume(a in by_user(triples))
-    weights = {i: data.draw(st.floats(0.01, 3.0)) for i in {i for _, i, _ in triples}}
+    weights = None
+    if data.draw(st.booleans()):
+        weights = {i: data.draw(st.floats(0.01, 3.0)) for i in {i for _, i, _ in triples}}
     _check_every_scan(triples, a, target, weights, min_sim)
 
 

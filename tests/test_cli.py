@@ -270,22 +270,32 @@ class TestPredictCommand:
         assert main(base + ["--config", str(cfg)]) == 0
         assert capsys.readouterr().out == from_flags
 
-    def test_config_file_value_outside_choices_rejected(self, dataset):
-        # argparse choices never see config-file values; RunConfig must.
-        cfg = dataset / "bad.cfg"
-        cfg.write_text("denominator=ABS\n")
-        rc = main(
-            ["predict", "--data-dir", str(dataset), "--config", str(cfg),
-             "--user", "1", "--item", "2"]
-        )
-        assert rc == 1
+    def test_config_file_value_outside_choices_rejected(self, dataset, caplog, capsys):
+        # A config-file value goes through its flag's choices where it is read, so it
+        # fails with its file and line, even where a flag overrides its key.
+        cfg = dataset / "run.cfg"
+        cases = [
+            ("denominator=ABS", []), ("denominator=ABS", ["--denominator", "abs"]),
+            ("method=xyz", []), ("method=xyz", ["--method", "pc"]), ("k0-branch=nope", []),
+        ]
+        for line, flags in cases:
+            cfg.write_text(line + "\n")
+            caplog.clear()
+            rc = main(
+                ["predict", "--data-dir", str(dataset), "--config", str(cfg),
+                 "--user", "1", "--item", "2"] + flags
+            )
+            assert rc == 1, (line, flags)
+            key = line.partition("=")[0]
+            assert f"run.cfg: line 1: bad value for '{key}': invalid choice" in caplog.text
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "command", [["evaluate", "--workers", "1"], ["predict", "--user", "1", "--item", "2"]]
     )
     @pytest.mark.parametrize("line", ["k=5,x", "k="])
     def test_config_file_bad_k_list_rejected(self, dataset, command, line, caplog):
-        # The k list from a config file is parsed outside argparse.
+        # The k list from a config file goes through its flag's type, outside argparse.
         cfg = dataset / "bad.cfg"
         cfg.write_text(line + "\n")
         rc = main(command[:1] + ["--data-dir", str(dataset), "--config", str(cfg)] + command[1:])

@@ -63,6 +63,15 @@ class TestSplitFolds:
         with pytest.raises(ValueError):
             split_folds([], seed=1)
 
+    @pytest.mark.parametrize("seed", [42.0, True, "abc", None])
+    def test_seed_that_is_no_integer_rejected(self, seed):
+        # A float or a bool would otherwise deal other folds than the integer it equals.
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            split_folds(ratings_for_item(10), seed=seed)
+        assert split_folds(ratings_for_item(10), seed=np.int64(42)).fold_of == (
+            split_folds(ratings_for_item(10), seed=42).fold_of
+        )
+
     def test_folds_label_the_matrix_entries(self):
         rs = as_ratings(synthetic_dataset())
         folds = split_folds(rs, seed=4)
