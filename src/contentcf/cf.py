@@ -6,9 +6,9 @@ weights, and damped by a significance factor when the co-rated overlap is
 small. Neighbors are drawn only from users who rated the target item.
 
 One kernel, ``_correlate``, sums co-rated deviations per rater for every
-caller, over (item slot, rater, value) entries. ``_gather`` joins the raters
-of the active user's item columns, whatever the target, with a 16-bit item
-slot per entry; pc's per-user kernel sweeps every entry of it. A ranking of
+caller, over (item slot, rater, value) entries. ``_gather`` stores the
+entries of the active user's item columns, whatever the target, with a 16-bit
+item slot each; pc's per-user kernel sweeps every entry of it. A ranking of
 either method, ``pearson`` and ``weighted_pearson`` keep the entries of their
 candidates (the target's raters, or the other user) from one of two scans,
 chosen rent-or-buy: the candidates' rows (``_rater_rows``) while the rows
@@ -180,16 +180,16 @@ def _correlate(
 
 @dataclass(slots=True)
 class _Scan:
-    """One user's scan state on one matrix. Its gather, every (item of the user, rater of that
-    item) entry in the user's item order, then rater order, is three read-only arrays, None
-    until built. The record holds no reference to its matrix, so the weak memo frees both."""
+    """One user's scan state on one matrix. Its gather, every (item slot, rater, value) entry
+    of the user's item columns, in the user's item order, then rater order, is three read-only
+    arrays, None until built. It holds no reference to its matrix: the weak memo frees both."""
 
     uix: int  # the user's index
     row: tuple[np.ndarray, np.ndarray]  # the user's item indices and values, widened once
     columns: int  # the entries in the user's item columns: the gather's size
-    offset: np.ndarray | None = None  # per item: its column's start minus its first entry here
     slot: np.ndarray | None = None  # each entry's item slot: uint16, or intp past 65,536 items
     users: np.ndarray | None = None  # each entry's rater, widened to intp once at build
+    vals: np.ndarray | None = None  # each entry's rating, int8 as the matrix stores it
     rows: int = 0  # the candidates' row entries scanned before the gather was built
     slot_of: np.ndarray | None = None  # per item of the matrix: its slot, or the row's length
 
@@ -213,11 +213,14 @@ def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _segments(array: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The slices ``array[lo:hi]`` joined, and each one's start in ``array`` minus in the join."""
+def _segments(starts: np.ndarray, ends: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each array's slices ``[lo:hi]`` joined, then each slice's start in the arrays minus in
+    the join, and each joined entry's slice number, in ``index_dtype`` of the slice count."""
     counts = ends - starts
-    parts = [array[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
-    return np.concatenate(parts), starts - (np.cumsum(counts) - counts)
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    joined = [np.concatenate([array[lo:hi] for lo, hi in bounds]) for array in arrays]
+    owner = np.repeat(np.arange(counts.size, dtype=index_dtype(counts.size)), counts)
+    return *joined, starts - (np.cumsum(counts) - counts), owner
 
 
 class _Entries(NamedTuple):
@@ -235,9 +238,8 @@ def _gather(matrix: RatingMatrix, scan: _Scan) -> _Scan:
     if scan.users is None:
         items_a, _ = scan.row
         starts, ends = matrix._iptr[items_a], matrix._iptr[items_a + 1]
-        users, offset = _segments(matrix._iusers, starts, ends)
-        slot = np.repeat(np.arange(items_a.size, dtype=index_dtype(items_a.size)), ends - starts)
-        scan.offset, scan.slot, scan.users = _frozen((offset, slot, users.astype(np.intp)))
+        users, vals, _, slot = _segments(starts, ends, matrix._iusers, matrix._ivals)
+        scan.slot, scan.users, scan.vals = _frozen((slot, users.astype(np.intp), vals))
     return scan
 
 
@@ -249,10 +251,9 @@ def _rater_rows(matrix: RatingMatrix, scan: _Scan, raters: np.ndarray) -> _Entri
         slot_of[items_a] = np.arange(items_a.size)
         (scan.slot_of,) = _frozen((slot_of,))
     starts, ends = matrix._uptr[raters], matrix._uptr[raters + 1]
-    rows, offset = _segments(matrix._uitems, starts, ends)
+    rows, offset, owner = _segments(starts, ends, matrix._uitems)
     slot = scan.slot_of[rows.astype(np.intp)]
     kept = np.flatnonzero(slot < items_a.size)
-    owner = np.repeat(np.arange(raters.size, dtype=index_dtype(raters.size)), ends - starts)
     owner = owner[kept].astype(np.intp)  # each kept entry's rater
     vals = matrix._uvals[kept + offset[owner]]
     return _Entries(scan, slot[kept].astype(np.intp), raters[owner], vals)
@@ -417,8 +418,7 @@ def _plain_grid(matrix, aix, targets, k_values, denominator, min_sim):
     (target, k), with the same float operations, in array passes over all the targets."""
     scan = _gather(matrix, _scan(matrix, aix))  # unweighted scores over the whole gather
     item_slot = scan.slot.astype(np.intp)
-    vals = matrix._ivals[np.arange(item_slot.size) + scan.offset[item_slot]]
-    _, _, value, overlap = _sweep(matrix, _Entries(scan, item_slot, scan.users, vals))
+    _, _, value, overlap = _sweep(matrix, _Entries(scan, item_slot, scan.users, scan.vals))
     targets = np.asarray(targets, dtype=np.intp)
     counts = matrix._iptr[targets + 1] - matrix._iptr[targets]
     slot = np.repeat(np.arange(targets.size), counts)  # each entry's target
@@ -457,8 +457,7 @@ def _candidate_entries(matrix: RatingMatrix, aix: int, cand: np.ndarray) -> _Ent
     is_cand = np.zeros(len(matrix.users), dtype=bool)
     is_cand[cand] = True
     kept = np.flatnonzero(is_cand[scan.users])
-    slot = scan.slot[kept].astype(np.intp)
-    return _Entries(scan, slot, scan.users[kept], matrix._ivals[kept + scan.offset[slot]])
+    return _Entries(scan, scan.slot[kept].astype(np.intp), scan.users[kept], scan.vals[kept])
 
 
 def select_neighbors(

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-test", type=int, dest="sample_test",
                    help="evaluate a seeded subsample of each test fold")
     p.add_argument("--workers", type=int,
-                   help="parallel workers (default: every CPU this process may run on)")
+                   help="parallel workers, at most the usable CPUs (default: every usable CPU)")
     p.add_argument("--out", help="report CSV path (default report.csv)")
 
     p = sub.add_parser("predict", parents=[common, run],

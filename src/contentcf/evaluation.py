@@ -288,6 +288,10 @@ def run_experiment(
         if n_workers > 1:
             logger.warning("no fork start method: evaluating serially, not with %d workers", n_workers)
         n_workers = 1
+    cpus = usable_cpus()
+    if n_workers > cpus:  # more processes than CPUs would only contend for them
+        logger.warning("%d CPUs usable: evaluating with %d workers, not %d", cpus, cpus, n_workers)
+        n_workers = cpus
 
     # Tasks in fold order; a fold's held-out entries are in (user, item) order.
     tasks = []

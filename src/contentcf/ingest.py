@@ -95,9 +95,9 @@ class ProfileStore:
 # inherits them: an ML-1M-shape run with 1 MiB blocks peaked about 20 MiB higher,
 # protocol process and largest worker together, than with these.
 _BLOCK_CHARS = 1 << 18
-# Blocks read and not yet handed to the join, whether queued, parsing or parsed: a
-# fixed count, so the parse's peak memory does not grow with the CPU count. A third
-# block's layout-check arrays would outgrow the join's peak at small blocks.
+# Blocks read and not yet handed to the join (queued, parsing or parsed), and the parse
+# pool's threads: a fixed count, so the parse's peak memory does not grow with the CPU
+# count. A third block's layout-check arrays would outgrow the join's peak at small blocks.
 _IN_FLIGHT = 2
 # Files of fewer blocks parse in the calling thread: on a 300 KB file (two blocks) a
 # pool took longer than no pool and left its threads' malloc arenas 1.6 MiB resident.
@@ -121,25 +121,25 @@ def parse_ratings(path) -> RatingColumns:
     plain lines (four fields of 1-18 ASCII digits joined by ``::``, no blank
     lines) with every value 1-5 is checked on arrays and parsed by numpy's C
     reader. A file of four blocks or more (1 MiB) has its plain blocks
-    parsed on a thread pool of one thread per CPU this process may run on,
-    whatever a run's worker count, at most two blocks at a time; the pool
-    is shut down before the parse returns. The calling thread reads the
-    blocks, walks any other block line by line through ``int``, skipping
-    blank lines, and numbers the lines, in file order; the walk raises its
-    first bad line's error as ``path: line N: ...``. Each column is stored in
-    the narrowest of int8, int16, int32 and int64 that holds its values
-    (ML-1M: 9 bytes a rating), so a caller widens a column before arithmetic
-    that could leave that range. Ids and timestamps must fit in 64 bits.
+    parsed on a thread pool of ``_IN_FLIGHT`` (two) threads, one per block
+    parsed at a time, whatever a run's worker count, when this process may
+    run on more than one CPU; the pool is shut down before the parse
+    returns. The calling thread reads the blocks, walks any other block line
+    by line through ``int``, skipping blank lines, and numbers the lines, in
+    file order; the walk raises its first bad line's error as
+    ``path: line N: ...``. Each column is stored in the narrowest of int8,
+    int16, int32 and int64 that holds its values (ML-1M: 9 bytes a rating),
+    so a caller widens a column before arithmetic that could leave that
+    range. Ids and timestamps must fit in 64 bits.
     """
     with open(path, "r", encoding="utf-8") as fh:
         blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
         head = list(itertools.islice(blocks, _POOL_MIN_BLOCKS))
         blocks = itertools.chain(head, blocks)
-        threads = usable_cpus() if len(head) == _POOL_MIN_BLOCKS else 1
-        if threads == 1:
+        if len(head) < _POOL_MIN_BLOCKS or usable_cpus() == 1:
             tables = list(_block_tables(path, ((b, _plain_table(b)) for b in blocks)))
         else:
-            with ThreadPoolExecutor(threads) as pool:
+            with ThreadPoolExecutor(_IN_FLIGHT) as pool:
                 tables = list(_block_tables(path, _parsed_ahead(pool, blocks)))
     # After an empty int8 table, joining promotes each column to the widest
     # of its blocks' dtypes, and a file without lines has 4 columns.

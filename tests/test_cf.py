@@ -344,6 +344,23 @@ class TestGatherMemo:
         assert sides == ["rows"] * n_rows + ["gather"] * (len(sides) - n_rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-99, 99), unique=True, max_size=30), st.data())
+def test_segments_joins_ragged_slices_and_names_their_owners(values, data):
+    """Distinct values, so an entry read back at ``j + offset[owner[j]]`` is that entry;
+    the second array's join has the same slices."""
+    array = np.array(values, dtype=np.int64)
+    bound = st.integers(0, array.size)
+    pairs = data.draw(st.lists(st.tuples(bound, bound).map(sorted), min_size=1, max_size=8))
+    starts, ends = (np.array(c, dtype=np.intp) for c in zip(*pairs))
+    joined, negated, offset, owner = cf._segments(starts, ends, array, -array)
+    assert joined.tolist() == [v for lo, hi in pairs for v in values[lo:hi]]
+    assert negated.tolist() == [-v for v in joined.tolist()]
+    assert owner.dtype == index_dtype(len(pairs))
+    assert owner.tolist() == [s for s, (lo, hi) in enumerate(pairs) for _ in range(lo, hi)]
+    assert (joined == array[np.arange(joined.size) + offset[owner]]).all()
+
+
 # -- vectorized path vs scalar path vs independent oracle -----------------------
 
 
@@ -484,12 +501,15 @@ class TestGatherReadOnly:
         with records_built() as built:
             g = cf._gather(m, cf._scan(m, 0))
             assert g.slot.dtype == np.uint16 and g.users.dtype == np.int64
-            for arr in (g.offset, g.slot, g.users):
+            assert g.vals.dtype == np.int8
+            for arr in (g.slot, g.users, g.vals):
                 assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 g.users[0] = 1
             with pytest.raises(ValueError):
                 g.slot[0] = 1
+            with pytest.raises(ValueError):
+                g.vals[0] = 1
             wv = WeightVector(0, TestWeightedRankingCases.WEIGHTS, max_feature_count=10)
             rank_candidates(1, 0, m, weights=wv)
             rank_candidates(1, 0, m)
@@ -503,6 +523,16 @@ class TestGatherReadOnly:
         # Each live matrix holds one record, its last.
         assert len(cf._scans) == 2
         assert (cf._scans[m].uix, cf._scans[twin].uix) == (1, 0)
+
+    def test_vals_are_the_matrix_ratings_of_each_entry(self):
+        m = build_matrix(as_ratings(TestWeightedRankingCases.TRIPLES))
+        for aix in range(len(m.users)):
+            g = cf._gather(m, cf._scan(m, aix))
+            items_a, _ = g.row
+            entries = zip(g.users.tolist(), items_a[g.slot].tolist(), g.vals.tolist())
+            for u, i, v in entries:
+                assert m.rating(m.users[u], m.items[i]) == v
+            assert g.vals.size == sum(len(m.raters_of(m.items[i])) for i in items_a.tolist())
 
     @pytest.mark.parametrize("method", ["pc", "wpc", "pair"])
     def test_a_freed_matrix_takes_its_record_with_it(self, method):

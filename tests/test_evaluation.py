@@ -402,17 +402,51 @@ class TestOnePoolPerRun:
         monkeypatch.setattr(RatingMatrix, "_masked", counting)
         return calls
 
-    def test_a_pooled_run_forks_one_pool_sized_by_the_tasks(self, pools, task_counts):
+    def test_a_pooled_run_forks_one_pool_sized_by_the_tasks(self, monkeypatch, pools, task_counts):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)  # a pool on a one-CPU host too
         rs = as_ratings(synthetic_dataset(n_users=30, seed=17))
         reports = run_experiment(rs, RunConfig(k_values=(3,), seed=2, workers=2))
         assert len(reports[0].fold_maes) == 5 and len(task_counts) == 5
         assert pools == [2] and 2 <= sum(task_counts)
 
-    def test_a_pool_has_no_more_workers_than_tasks(self, pools, task_counts):
+    def test_a_pool_has_no_more_workers_than_tasks(self, monkeypatch, pools, task_counts):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: 4)
         rs = as_ratings([(1, 10, 4), (2, 10, 2), (2, 11, 5)])
         run_experiment(rs, RunConfig(k_values=(1,), seed=3, workers=4))
         assert sum(task_counts) == 3
         assert pools == [3]
+
+    def test_a_pool_has_no_more_workers_than_usable_cpus(self, monkeypatch, caplog, task_counts):
+        made = []
+
+        class InProcessPool:
+            """Records its size and maps in this process: no process is started."""
+
+            def __init__(self, *, max_workers, mp_context, initializer, initargs):
+                made.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(evaluation, "_worker", {})  # the stub's initializer fills this one
+        rs = as_ratings(synthetic_dataset(n_users=30, seed=17))
+        serial = run_experiment(rs, RunConfig(k_values=(3,), seed=2, workers=1))
+        with caplog.at_level(logging.WARNING, logger=evaluation.__name__):
+            reports = run_experiment(rs, RunConfig(k_values=(3,), seed=2, workers=64))
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["2 CPUs usable: evaluating with 2 workers, not 64"]
+        assert made == [2] and reports == serial
+        # The tasks are cut for the lowered count: 4 a fold and worker.
+        assert max(task_counts[N_FOLDS:]) <= 4 * 2
 
     @pytest.mark.parametrize(
         "triples, workers",
@@ -425,7 +459,10 @@ class TestOnePoolPerRun:
         assert pools == []
 
     @pytest.mark.parametrize("workers, parent_builds", [(1, 5), (2, 0)])
-    def test_fold_matrices_are_built_where_they_are_used(self, masked, workers, parent_builds):
+    def test_fold_matrices_are_built_where_they_are_used(
+        self, monkeypatch, masked, workers, parent_builds
+    ):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)  # a pool on a one-CPU host too
         rs = as_ratings(synthetic_dataset())
         run_experiment(rs, RunConfig(k_values=(3,), seed=2, workers=workers))
         assert len(masked) == parent_builds

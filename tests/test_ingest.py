@@ -552,7 +552,8 @@ def pooled():
 
 class TestPooledParse:
     """A file of four blocks or more has its plain blocks parsed on a thread pool
-    of one thread per usable CPU; the outcome is that of a one-thread parse."""
+    of two threads when more than one CPU is usable; the outcome is that of a
+    one-thread parse."""
 
     @pytest.mark.parametrize("block_chars", [50, 64, 1 << 14])
     @pytest.mark.parametrize("cpus", [1, 2, 8])
@@ -568,12 +569,15 @@ class TestPooledParse:
                     got = columns_or_message(parse_ratings(path))
         assert got == want
         assert [dtype for dtype, _ in got] == [np.dtype(np.int8)] * 3 + [np.dtype(np.int64)]
-        assert pool.call_count == int(cpus > 1)  # a pool only when there is a CPU to spare
+        # A pool only when there is a CPU to spare, with a thread per block in flight.
+        assert [c.args for c in pool.call_args_list] == [(ingest._IN_FLIGHT,)] * int(cpus > 1)
         assert walked.call_count >= 2  # the middle block and the last one
 
     def test_more_threads_than_cores_with_short_time_slices(self, tmp_path):
         """Blocks handed out of order, or a warning filter lost between threads,
-        would change the columns or send a plain block down the line walk."""
+        would change the columns or send a plain block down the line walk. The
+        pool has a thread per block in flight, so more blocks in flight than
+        cores give it more threads than cores."""
         path = tmp_path / "ratings.dat"
         path.write_bytes(mixed_blocks_text().encode())
         with mock.patch.object(ingest, "_BLOCK_CHARS", 50):
@@ -582,14 +586,16 @@ class TestPooledParse:
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                with mock.patch.object(ingest, "usable_cpus", lambda: 4 * (os.cpu_count() or 1)):
+                many = mock.patch.object(ingest, "_IN_FLIGHT", 4 * (os.cpu_count() or 1))
+                with mock.patch.object(ingest, "usable_cpus", lambda: 2), many:
                     walk = mock.patch.object(ingest, "_line_table", wraps=ingest._line_table)
-                    with walk as walked:
+                    with walk as walked, pooled() as pool:
                         for _ in range(3):
                             assert columns_or_message(parse_ratings(path)) == want
             finally:
                 sys.setswitchinterval(interval)
         assert walked.call_count == 3 * 2  # the middle block and the last one, each run
+        assert [c.args for c in pool.call_args_list] == [(4 * (os.cpu_count() or 1),)] * 3
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_a_file_of_fewer_than_four_blocks_parses_without_a_pool(self, tmp_path, cpus):
@@ -606,15 +612,15 @@ class TestPooledParse:
                 assert pool.call_count == int(cpus > 1)
 
     def test_the_pool_follows_the_cpu_affinity_mask(self, tmp_path):
-        """Unpatched: a pool of one thread per CPU this process may run on, and
-        none when it may run on one alone (as under ``taskset -c 0``)."""
+        """Unpatched: a pool of two threads when this process may run on more
+        than one CPU, and none when it may run on one alone (as under ``taskset -c 0``)."""
         path = tmp_path / "ratings.dat"
         path.write_bytes(mixed_blocks_text().encode())
         with mock.patch.object(ingest, "_BLOCK_CHARS", 1 << 14):
             with pooled() as pool:
                 parse_ratings(path)
         cpus = usable_cpus()
-        assert [c.args for c in pool.call_args_list] == ([(cpus,)] if cpus > 1 else [])
+        assert [c.args for c in pool.call_args_list] == [(ingest._IN_FLIGHT,)] * int(cpus > 1)
 
     @pytest.mark.parametrize("cpus", [2, 8])
     @pytest.mark.parametrize(
