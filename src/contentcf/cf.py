@@ -6,26 +6,28 @@ weights, and damped by a significance factor when the co-rated overlap is
 small. Neighbors are drawn only from users who rated the target item.
 
 One kernel, ``_correlate``, sums co-rated deviations per rater for every
-caller, over (item slot, rater, value) entries. ``_gather`` stores the
-entries of the active user's item columns, whatever the target, with a 16-bit
-item slot each; pc's per-user kernel sweeps every entry of it. A ranking of
-either method, ``pearson`` and ``weighted_pearson`` keep the entries of their
-candidates (the target's raters, or the other user) from one of two scans,
-chosen rent-or-buy: the candidates' rows (``_rater_rows``) while the rows
-scanned for the user so far hold fewer entries than its item columns, then
-the gather, built once. ``_sweep`` computes deviations, and weights if given,
-for the kept entries alone. Every scan lists each rater's entries in
-ascending item order, so each rater's sums have the same bits. A user's scan
-state (its widened row and column-entry total, read-only gather, the row
+caller, over (item slot, rater, value) entries, and one join, ``_segments``,
+reads every ragged set of matrix slices those come from: the gather's item
+columns, a rows scan's rows and pc's target columns. It reads short slices
+through one index and long ones slice by slice. ``_gather`` stores the entries
+of the active user's item columns, whatever the target, with a 16-bit item slot
+each; pc's per-user kernel sweeps every entry of it. A ranking of either method,
+``pearson`` and ``weighted_pearson`` keep the entries of their candidates (the
+target's raters, or the other user) from one of two scans, chosen rent-or-buy:
+the candidates' rows (``_rater_rows``) while the rows scanned for the user so
+far hold fewer entries than its item columns, then the gather, built once.
+``_sweep`` computes the candidates' deviations, and weights if given, for the
+kept entries alone. Every scan lists each rater's entries in ascending item
+order, so each rater's sums have the same bits. A user's scan state (its widened
+items and their deviations, column-entry total, read-only gather, the row
 entries it scanned and its item-to-slot table) is one ``_Scan`` record;
 ``_scan`` keeps each live matrix's last one, weakly keyed, so a freed matrix
 takes its record with it. A ranking or a pair looks its record up once and
 hands it to ``_gather`` or ``_rater_rows``; the kept entries (``_Entries``)
-carry it to the sweep, which reads the user's index and row from it. The
-matrix stores indices narrow (see ``data``); a user's row and an item's
-column come widened to intp, and an index array joined from the matrix's own
-(the gather's raters, a rows scan's items) is widened once, before it
-indexes anything.
+carry it to the sweep, which reads the user's index and deviations from it. The
+matrix stores indices narrow (see ``data``); a user's row and an item's column
+come widened to intp, and an index array joined from the matrix's own (the
+gather's raters, a rows scan's items) is widened once, before it indexes anything.
 
 ``rank_candidates`` returns a ``Ranking``: read-only arrays over the
 candidates, best first, with each candidate's deviation ``r_ut - mean_u``
@@ -38,10 +40,10 @@ adds in sequence, so column n has the bits of the left-to-right loop
 ``s = 0.0; s += term`` over the first n terms.
 
 ``_plain_grid``, pc's per-user kernel, is the evaluation's pc path: one user's T
-targets at once, scored by one sweep of the user's whole gather. Their columns are
-joined with a target slot, ranked by the rule ``rank_candidates`` uses (``_ranked``)
-with the slot as first key, and summed zero-padded to one width, so every (k, target)
-prediction has the bits of ``predict`` over that ranking's head.
+targets at once, scored by one sweep of the user's whole gather. ``_segments`` joins
+their columns, each entry with its target's slot; they are ranked by the rule
+``rank_candidates`` uses (``_ranked``) with the slot as first key and summed zero-padded to
+one width, so every (k, target) prediction has the bits of ``predict`` over that ranking's head.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ _DENOMINATORS = get_args(Denominator)
 
 SIGNIFICANCE_OVERLAP = 50
 _DEN_EPS = 1e-9
+_LONG = 192  # the mean slice length from which ``_segments`` joins slice by slice
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +188,7 @@ class _Scan:
     arrays, None until built. It holds no reference to its matrix: the weak memo frees both."""
 
     uix: int  # the user's index
-    row: tuple[np.ndarray, np.ndarray]  # the user's item indices and values, widened once
+    row: tuple[np.ndarray, np.ndarray]  # the user's item indices, widened once, and deviations
     columns: int  # the entries in the user's item columns: the gather's size
     slot: np.ndarray | None = None  # each entry's item slot: uint16, or intp past 65,536 items
     users: np.ndarray | None = None  # each entry's rater, widened to intp once at build
@@ -203,7 +206,7 @@ def _scan(matrix: RatingMatrix, uix: int) -> _Scan:
     if scan is None or scan.uix != uix:
         items, vals = matrix._user_row(uix)
         columns = int((matrix._iptr[items + 1] - matrix._iptr[items]).sum())
-        scan = _scans[matrix] = _Scan(uix, (items, vals), columns)
+        scan = _scans[matrix] = _Scan(uix, (items, vals - matrix._umeans[uix]), columns)
     return scan
 
 
@@ -215,12 +218,17 @@ def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 
 def _segments(starts: np.ndarray, ends: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each array's slices ``[lo:hi]`` joined, then each slice's start in the arrays minus in
-    the join, and each joined entry's slice number, in ``index_dtype`` of the slice count."""
+    the join, and each joined entry's slice number, in ``index_dtype`` of the slice count. Read
+    through one index if the mean slice is below ``_LONG`` (CHANGES.md), else by slices."""
     counts = ends - starts
+    offset = starts - (np.cumsum(counts) - counts)
+    owner = np.repeat(np.arange(counts.size, dtype=index_dtype(counts.size)), counts)
+    if owner.size < _LONG * counts.size:
+        at = np.arange(owner.size) + np.repeat(offset, counts)
+        return *(array[at] for array in arrays), offset, owner
     bounds = list(zip(starts.tolist(), ends.tolist()))
     joined = [np.concatenate([array[lo:hi] for lo, hi in bounds]) for array in arrays]
-    owner = np.repeat(np.arange(counts.size, dtype=index_dtype(counts.size)), counts)
-    return *joined, starts - (np.cumsum(counts) - counts), owner
+    return *joined, offset, owner
 
 
 class _Entries(NamedTuple):
@@ -266,8 +274,7 @@ def _sweep(
     ``entries`` alone; each rater's sums run in the entries' order, and only
     items on an entry need a weight."""
     scan, slot, users, vals_u = entries
-    items_a, vals_a = scan.row
-    dev_a = (vals_a - matrix._umeans[scan.uix])[slot]
+    items_a, dev_a = scan.row
     dev_u = vals_u - matrix._umeans[users]
     w = None
     if weights is not None:
@@ -276,7 +283,7 @@ def _sweep(
         w_row = np.zeros(items_a.size)
         w_row[used] = weights.row(list(map(matrix.items.__getitem__, items_a[used].tolist())))
         w = w_row[slot]
-    return _correlate(users, len(matrix.users), dev_a, dev_u, w)
+    return _correlate(users, len(matrix.users), dev_a[slot], dev_u, w)
 
 
 # -- the ranking and its running sums ------------------------------------------
@@ -413,27 +420,26 @@ def _ranked(cand, value, overlap, min_sim, slot=None) -> np.ndarray:
 
 
 def _plain_grid(matrix, aix, targets, k_values, denominator, min_sim):
-    """Unweighted predictions of user ``aix`` for item indices ``targets`` at every k, and
-    their fallback flags, each shaped (k, target): ``rank_candidates`` then ``predict`` per
-    (target, k), with the same float operations, in array passes over all the targets."""
+    """Unweighted predictions of user ``aix`` for item indices ``targets`` at every k, and their
+    fallback flags, each shaped (k, target): the bits of ``rank_candidates`` then ``predict`` per
+    (target, k), from array passes over the targets' columns, joined once by ``_segments``."""
     scan = _gather(matrix, _scan(matrix, aix))  # unweighted scores over the whole gather
     item_slot = scan.slot.astype(np.intp)
     _, _, value, overlap = _sweep(matrix, _Entries(scan, item_slot, scan.users, scan.vals))
     targets = np.asarray(targets, dtype=np.intp)
-    counts = matrix._iptr[targets + 1] - matrix._iptr[targets]
-    slot = np.repeat(np.arange(targets.size), counts)  # each entry's target
-    at = np.arange(slot.size) + (matrix._iptr[targets] - (np.cumsum(counts) - counts))[slot]
-    cand = matrix._iusers[at].astype(np.intp)  # every target's raters, widened once
+    starts, ends = matrix._iptr[targets], matrix._iptr[targets + 1]
+    cand, r_ut, _, slot = _segments(starts, ends, matrix._iusers, matrix._ivals)  # slot: target
+    cand = cand.astype(np.intp)  # every target's raters, widened once
     others = np.flatnonzero(cand != aix)
     ranked = others[_ranked(cand[others], value, overlap, min_sim, slot[others])]
-    cand, slot, at = cand[ranked], slot[ranked], at[ranked]
+    cand, slot, r_ut = cand[ranked], slot[ranked].astype(np.intp), r_ut[ranked]
     # Each target's first max(k) neighbours, zero-padded to one width.
     n = np.bincount(slot, minlength=targets.size)
     place = np.arange(slot.size) - (np.cumsum(n) - n)[slot]
     top = np.flatnonzero(place < max(k_values))
     dev, val = np.zeros((2, targets.size, min(n.max(initial=0), max(k_values))))
     cand, slot, place = cand[top], slot[top], place[top]
-    dev[slot, place] = matrix._ivals[at[top]] - matrix._umeans[cand]
+    dev[slot, place] = r_ut[top] - matrix._umeans[cand]
     val[slot, place] = value[cand]
     reach = np.minimum(np.array(k_values)[:, None], n)
     num, mass_abs, mass = _prefix_sums(dev, val)[:, np.arange(targets.size), reach]

@@ -66,6 +66,11 @@ def as_ratings(triples) -> list[Rating]:
     return [Rating(user_id=u, item_id=i, value=v) for u, i, v in triples]
 
 
+# ``contentcf.cf._LONG`` at these values makes ``_segments`` join every call's slices slice
+# by slice, or through one index, whatever their lengths.
+JOINS = {"slices": 0, "index": 1 << 62}
+
+
 @pytest.fixture
 def toy_ratings() -> list[Rating]:
     """Seven ratings over three users and three items; small enough to hand-check."""

@@ -27,7 +27,7 @@ from contentcf.cf import (
 )
 from contentcf.data import RatingColumns, RatingMatrix, build_matrix, index_dtype
 from contentcf.weighting import WeightVector
-from conftest import as_ratings, rating_triples
+from conftest import JOINS, as_ratings, rating_triples
 from oracle import by_user, naive_pearson, naive_rank
 
 
@@ -344,16 +344,30 @@ class TestGatherMemo:
         assert sides == ["rows"] * n_rows + ["gather"] * (len(sides) - n_rows)
 
 
+def _joins_agree(starts, ends, *arrays):
+    """``cf._segments`` by either strategy: the same arrays, dtypes included. Returns them."""
+    joins = []
+    for long in JOINS.values():
+        with mock.patch.object(cf, "_LONG", long):
+            joins.append(cf._segments(starts, ends, *arrays))
+    for by_slices, by_index in zip(*joins):
+        assert (by_index.dtype, by_index.tolist()) == (by_slices.dtype, by_slices.tolist())
+    return joins[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-99, 99), unique=True, max_size=30), st.data())
 def test_segments_joins_ragged_slices_and_names_their_owners(values, data):
     """Distinct values, so an entry read back at ``j + offset[owner[j]]`` is that entry;
-    the second array's join has the same slices."""
+    the second array's join, int8 as the matrix's ratings, has the same slices. Both
+    strategies give the same arrays, and so do they when every slice is emptied."""
     array = np.array(values, dtype=np.int64)
     bound = st.integers(0, array.size)
     pairs = data.draw(st.lists(st.tuples(bound, bound).map(sorted), min_size=1, max_size=8))
     starts, ends = (np.array(c, dtype=np.intp) for c in zip(*pairs))
-    joined, negated, offset, owner = cf._segments(starts, ends, array, -array)
+    negative = (-array).astype(np.int8)
+    _joins_agree(starts, starts, array, negative)
+    joined, negated, offset, owner = _joins_agree(starts, ends, array, negative)
     assert joined.tolist() == [v for lo, hi in pairs for v in values[lo:hi]]
     assert negated.tolist() == [-v for v in joined.tolist()]
     assert owner.dtype == index_dtype(len(pairs))
@@ -745,12 +759,13 @@ def _check_every_scan(triples, a, target, weights, min_sim=None):
     st.data(),
 )
 def test_every_scan_has_the_oracle_and_three_array_bits(triples, a, target, min_sim, data):
-    """Of either method: a draw of no weights checks a pc ranking."""
+    """Of either method, and by either join: a draw of no weights checks a pc ranking."""
     assume(a in by_user(triples))
     weights = None
     if data.draw(st.booleans()):
         weights = {i: data.draw(st.floats(0.01, 3.0)) for i in {i for _, i, _ in triples}}
-    _check_every_scan(triples, a, target, weights, min_sim)
+    with mock.patch.object(cf, "_LONG", JOINS[data.draw(st.sampled_from(sorted(JOINS)))]):
+        _check_every_scan(triples, a, target, weights, min_sim)
 
 
 class TestColdScanCases:
@@ -804,6 +819,8 @@ class TestColdScanCases:
         g = cf._gather(m, cf._scan(m, 0))
         assert g.slot.dtype == (np.uint16 if n_items <= 1 << 16 else np.intp)
         assert g.slot[-1] == n_items - 1
+        items_a, _ = m._user_row(0)
+        _joins_agree(m._iptr[items_a], m._iptr[items_a + 1], m._iusers, m._ivals)
         triples = list(zip(users.tolist(), items.tolist(), values.tolist()))
         weights = {i: 0.5 + (i % 7) / 4 for i in range(n_items)}
         assert len(_check_every_scan(triples, 0, n_items - 1, weights)) == 2
@@ -826,6 +843,8 @@ class TestColdScanCases:
         assert raters.dtype == np.intp and raters.tolist() == [1, last]
         assert values.dtype == np.float64
         assert [a.dtype for a in m._user_row(last)] == [np.intp, np.float64]
+        raters, _ = m._item_col(m._item_index(8))
+        _joins_agree(m._uptr[raters], m._uptr[raters + 1], m._uitems, m._uvals)
 
         ranked = _check_every_scan(triples, 0, 9, self.WEIGHTS)
         assert sorted(r[0] for r in ranked) == [1, last]

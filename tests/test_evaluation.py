@@ -8,13 +8,14 @@ import logging
 import os
 import weakref
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contentcf import evaluation
+from contentcf import cf, evaluation
 from contentcf.cf import EMPTY_RANKING, NeighborSet, _plain_grid, predict, rank_candidates
 from contentcf.data import MovieProfile, RatingMatrix, build_matrix
 from contentcf.evaluation import (
@@ -28,7 +29,7 @@ from contentcf.evaluation import (
     split_folds,
 )
 from contentcf.weighting import WeightCalculator
-from conftest import as_ratings, rating_triples
+from conftest import JOINS, as_ratings, rating_triples
 from oracle import by_user, naive_evaluate, naive_item_weight, naive_predict, naive_rank
 
 
@@ -193,10 +194,12 @@ class TestRunExperiment:
         matrix = folds.matrix._masked(folds.fold != 0)
         config = RunConfig(k_values=(30, 1, 5), denominator=denominator, min_sim=0.0)
         rows = folds.matrix._entries(held)
-        got = evaluation._eval_ratings(matrix, None, config, rows)
-        expected = _per_row(matrix, rows, config)
-        assert _hex(got[0]) == _hex(expected[0])
-        assert [a.tolist() for a in got[1:]] == [a.tolist() for a in expected[1:]]
+        for long in JOINS.values():  # pc's target columns joined by either strategy
+            with mock.patch.object(cf, "_LONG", long):
+                got = evaluation._eval_ratings(matrix, None, config, rows)
+                expected = _per_row(matrix, rows, config)
+            assert _hex(got[0]) == _hex(expected[0])
+            assert [a.tolist() for a in got[1:]] == [a.tolist() for a in expected[1:]]
 
     @pytest.mark.parametrize("denominator", ["abs", "signed"])
     def test_wpc_rows_have_the_per_row_bits(self, denominator):
@@ -209,11 +212,13 @@ class TestRunExperiment:
         assert matrix._icount[0] == 0 and (rows[1] == 0).any()
         calculator = WeightCalculator(StoreStub(moderate_profiles()))  # every item's profile
         config = RunConfig(k_values=(30, 1, 5), denominator=denominator, min_sim=0.0)
-        got = evaluation._eval_ratings(matrix, calculator, config, rows)
-        expected = _per_row(matrix, rows, config, calculator)
-        assert _hex(got[0]) == _hex(expected[0])
-        assert [a.tolist() for a in got[1:]] == [a.tolist() for a in expected[1:]]
-        assert got[1][:, rows[1] == 0].all()  # the unseen item falls back at every k
+        for long in JOINS.values():
+            with mock.patch.object(cf, "_LONG", long):
+                got = evaluation._eval_ratings(matrix, calculator, config, rows)
+                expected = _per_row(matrix, rows, config, calculator)
+            assert _hex(got[0]) == _hex(expected[0])
+            assert [a.tolist() for a in got[1:]] == [a.tolist() for a in expected[1:]]
+            assert got[1][:, rows[1] == 0].all()  # the unseen item falls back at every k
 
     def test_wpc_matches_protocol_oracle(self):
         triples = synthetic_dataset(seed=21)
